@@ -1,4 +1,4 @@
-"""Macro-level summary causal graphs and their kinship/cycle primitives.
+"""Macro-level summary causal graphs and the package's graph-walk kernel.
 
 A summary causal graph (SCG) has one node per time series.  Unlike the
 full-time graphs it abstracts, an SCG may contain directed cycles and
@@ -6,13 +6,18 @@ self-loops; a self-loop is stored as an ordinary ``(v, v)`` edge and counts
 as a cycle of length one.  Node order is declaration order and every
 serialized node set is emitted in that order, so identical inputs produce
 byte-identical outputs.
+
+The kernel (``closure``, ``topological_order``, ``d_connected``) works on
+``adj[v]`` lookups only, so the same code serves name-keyed SCG indexes,
+``TemporalVar``-keyed unrollings and int-indexed adjacency lists.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable
+from heapq import heapify, heappop, heappush
+from typing import Iterable, Sequence
 
 NodeId = str
 
@@ -28,9 +33,21 @@ class SCG:
     nodes: tuple[NodeId, ...]
     edges: frozenset[tuple[NodeId, NodeId]]
     _index: dict[NodeId, int] = field(repr=False, compare=False, hash=False, default=None)
+    # Adjacency in declaration order; a self-loop lists v under its own parents
+    # and children.
+    _parents: dict[NodeId, tuple[NodeId, ...]] = field(repr=False, compare=False, hash=False, default=None)
+    _children: dict[NodeId, tuple[NodeId, ...]] = field(repr=False, compare=False, hash=False, default=None)
 
     def __post_init__(self):
-        object.__setattr__(self, "_index", {v: i for i, v in enumerate(self.nodes)})
+        index = {v: i for i, v in enumerate(self.nodes)}
+        parents: dict[NodeId, list[NodeId]] = {v: [] for v in self.nodes}
+        children: dict[NodeId, list[NodeId]] = {v: [] for v in self.nodes}
+        for (u, w) in sorted(self.edges, key=lambda e: (index[e[0]], index[e[1]])):
+            parents[w].append(u)
+            children[u].append(w)
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_parents", {v: tuple(ps) for v, ps in parents.items()})
+        object.__setattr__(self, "_children", {v: tuple(cs) for v, cs in children.items()})
 
     def index(self, v: NodeId) -> int:
         try:
@@ -49,17 +66,17 @@ class SCG:
 
     def parents(self, v: NodeId) -> frozenset[NodeId]:
         self.index(v)
-        return frozenset(u for (u, w) in self.edges if w == v)
+        return frozenset(self._parents[v])
 
     def children(self, v: NodeId) -> frozenset[NodeId]:
         self.index(v)
-        return frozenset(w for (u, w) in self.edges if u == v)
+        return frozenset(self._children[v])
 
     def parents_of_set(self, s: Iterable[NodeId]) -> frozenset[NodeId]:
         """Union of parents; a member with a self-loop is its own parent."""
         s = frozenset(s)
         self.check_nodes(s)
-        return frozenset(u for (u, w) in self.edges if w in s)
+        return frozenset(u for w in s for u in self._parents[w])
 
     def has_self_loop(self, v: NodeId) -> bool:
         self.index(v)
@@ -80,9 +97,20 @@ class SCG:
         return json.dumps(payload, indent=2)
 
 
+def _as_tuple(raw, what: str) -> tuple:
+    # Strings and JSON objects iterate, but as characters and keys, never as a
+    # list of names or a (source, target) pair.
+    if not isinstance(raw, (str, dict)):
+        try:
+            return tuple(raw)
+        except TypeError:
+            pass
+    raise GraphError(f"{what} must be a list, got {raw!r}")
+
+
 def validate_scg(raw_nodes: Iterable[NodeId], raw_edges: Iterable[tuple[NodeId, NodeId]]) -> SCG:
     """Canonicalize raw node/edge lists into an SCG or raise ``GraphError``."""
-    nodes = list(raw_nodes)
+    nodes = _as_tuple(raw_nodes, "nodes")
     seen: set[NodeId] = set()
     for v in nodes:
         if not isinstance(v, str) or not v:
@@ -92,20 +120,19 @@ def validate_scg(raw_nodes: Iterable[NodeId], raw_edges: Iterable[tuple[NodeId, 
         seen.add(v)
     edges = []
     edge_seen: set[tuple[NodeId, NodeId]] = set()
-    for e in raw_edges:
-        e = tuple(e)
+    for e in _as_tuple(raw_edges, "edges"):
+        e = _as_tuple(e, "edge")
         if len(e) != 2:
             raise GraphError(f"edge must be a (source, target) pair, got {e!r}")
+        for v in e:
+            if not isinstance(v, str) or v not in seen:
+                raise GraphError(f"edge {e!r} has undeclared endpoint {v!r}")
         u, w = e
-        if u not in seen:
-            raise GraphError(f"edge {e!r} has undeclared endpoint {u!r}")
-        if w not in seen:
-            raise GraphError(f"edge {e!r} has undeclared endpoint {w!r}")
         if (u, w) in edge_seen:
             raise GraphError(f"duplicate edge {e!r}")
         edge_seen.add((u, w))
         edges.append((u, w))
-    return SCG(tuple(nodes), frozenset(edges))
+    return SCG(nodes, frozenset(edges))
 
 
 def scg_from_json(text: str) -> SCG:
@@ -118,40 +145,92 @@ def scg_from_json(text: str) -> SCG:
     return validate_scg(payload["nodes"], payload["edges"])
 
 
+def closure(adj, seeds: Iterable) -> set:
+    """Reflexive-transitive closure of ``seeds`` under ``adj[v]``."""
+    out = set(seeds)
+    stack = list(out)
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in out:
+                out.add(w)
+                stack.append(w)
+    return out
+
+
+def topological_order(nodes: Sequence, children) -> list | None:
+    """Kahn's algorithm, taking the ready node of smallest declaration index
+    first; ``None`` when the edges close a cycle."""
+    rank = {v: i for i, v in enumerate(nodes)}
+    indegree = dict.fromkeys(nodes, 0)
+    for v in nodes:
+        for w in children[v]:
+            indegree[w] += 1
+    ready = [rank[v] for v in nodes if indegree[v] == 0]
+    heapify(ready)
+    order = []
+    while ready:
+        v = nodes[heappop(ready)]
+        order.append(v)
+        for w in children[v]:
+            indegree[w] -= 1
+            if indegree[w] == 0:
+                heappush(ready, rank[w])
+    return order if len(order) == len(nodes) else None
+
+
+def d_connected(parents, children, a: Iterable, b, z) -> bool:
+    """Bayes-ball (Shachter 1998): whether some trail from ``a`` to ``b`` is
+    active given ``z`` in an acyclic graph.
+
+    A ball passes a non-collider only outside ``z`` and bounces up off a
+    collider only when the collider is an ancestor of ``z``.  ``b`` and ``z``
+    are sets; each node is visited at most once per direction.
+    """
+    opens = closure(parents, z)
+    seen_up: set = set()
+    seen_down: set = set()
+    # (node, arrived from a child), i.e. travelling up.
+    stack = [(x, True) for x in a]
+    while stack:
+        v, up = stack.pop()
+        if up:
+            if v in seen_up:
+                continue
+            seen_up.add(v)
+        else:
+            if v in seen_down:
+                continue
+            seen_down.add(v)
+        if v in b:
+            return True
+        if up:
+            if v not in z:
+                for p in parents[v]:
+                    stack.append((p, True))
+                for c in children[v]:
+                    stack.append((c, False))
+        else:
+            if v not in z:
+                for c in children[v]:
+                    stack.append((c, False))
+            if v in opens:
+                for p in parents[v]:
+                    stack.append((p, True))
+    return False
+
+
 def descendants(g: SCG, s: Iterable[NodeId]) -> frozenset[NodeId]:
     """Reflexive-transitive closure along forward edges."""
     s = frozenset(s)
     g.check_nodes(s)
-    children: dict[NodeId, list[NodeId]] = {v: [] for v in g.nodes}
-    for (u, w) in g.edges:
-        children[u].append(w)
-    out = set(s)
-    stack = list(s)
-    while stack:
-        v = stack.pop()
-        for w in children[v]:
-            if w not in out:
-                out.add(w)
-                stack.append(w)
-    return frozenset(out)
+    return frozenset(closure(g._children, s))
 
 
 def ancestors(g: SCG, s: Iterable[NodeId]) -> frozenset[NodeId]:
     """Reflexive-transitive closure along reversed edges."""
     s = frozenset(s)
     g.check_nodes(s)
-    parents: dict[NodeId, list[NodeId]] = {v: [] for v in g.nodes}
-    for (u, w) in g.edges:
-        parents[w].append(u)
-    out = set(s)
-    stack = list(s)
-    while stack:
-        v = stack.pop()
-        for u in parents[v]:
-            if u not in out:
-                out.add(u)
-                stack.append(u)
-    return frozenset(out)
+    return frozenset(closure(g._parents, s))
 
 
 @dataclass(frozen=True)
@@ -170,10 +249,7 @@ def scc_partition(g: SCG) -> SccPartition:
     stack: list[NodeId] = []
     counter = 0
     raw_components: list[set[NodeId]] = []
-
-    children: dict[NodeId, list[NodeId]] = {v: [] for v in g.nodes}
-    for (u, w) in sorted(g.edges, key=lambda e: (g.index(e[0]), g.index(e[1]))):
-        children[u].append(w)
+    children = g._children
 
     for root in g.nodes:
         if root in index_of:
@@ -261,12 +337,7 @@ def simple_directed_paths(g: SCG, src: NodeId, dst: NodeId) -> list[tuple[NodeId
     package targets (corpora stay at <= 8 nodes).
     """
     g.index(src), g.index(dst)
-    children: dict[NodeId, list[NodeId]] = {v: [] for v in g.nodes}
-    for (u, w) in g.edges:
-        if u != w:
-            children[u].append(w)
-    for v in children:
-        children[v].sort(key=g.index)
+    children = g._children
 
     paths: list[tuple[NodeId, ...]] = []
     path: list[NodeId] = [src]
@@ -277,6 +348,7 @@ def simple_directed_paths(g: SCG, src: NodeId, dst: NodeId) -> list[tuple[NodeId
             paths.append(tuple(path))
             return
         for w in children[v]:
+            # ``visiting`` holds v itself, so self-loops are skipped here too.
             if w in visiting:
                 continue
             visiting.add(w)

@@ -25,7 +25,9 @@ from .graph import (
     SCG,
     GraphError,
     ancestors,
+    closure,
     cycle_profile,
+    d_connected,
     descendants,
     scc_of,
     simple_directed_paths,
@@ -141,21 +143,13 @@ def _backdoor_path_data(g: SCG, x: str, y: str) -> tuple[tuple[frozenset[str], f
     an edge pointing into x.  Colliders are interior nodes whose two path
     edges both point at them.
     """
-    fwd: dict[str, list[str]] = {v: [] for v in g.nodes}
-    bwd: dict[str, list[str]] = {v: [] for v in g.nodes}
-    for (u, w) in g.edges:
-        if u != w:
-            fwd[u].append(w)
-            bwd[w].append(u)
-    for v in g.nodes:
-        fwd[v].sort(key=g.index)
-        bwd[v].sort(key=g.index)
-
+    fwd, bwd = g._children, g._parents
     found: set[tuple[frozenset[str], frozenset[str]]] = set()
     path: list[str] = [x]
     # entered[i] is True when step i's edge points into path[i].
     entered: list[bool] = [False]
 
+    # Later steps skip self-loops through the ``w not in path`` test.
     def extend(v: str) -> None:
         if v == y:
             # A collider is entered by its own step and by the next one.
@@ -180,6 +174,8 @@ def _backdoor_path_data(g: SCG, x: str, y: str) -> tuple[tuple[frozenset[str], f
                 entered.pop()
 
     for first in bwd[x]:
+        if first == x:
+            continue
         if first == y:
             found.add((frozenset([x, y]), frozenset()))
             continue
@@ -312,18 +308,9 @@ class _QueryFacts:
         return base, all_x, all_y
 
 
-_FACTS_CACHE: dict[tuple[SCG, MicroQuery], _QueryFacts] = {}
-
-
+@lru_cache(maxsize=2048)
 def query_facts(g: SCG, q: MicroQuery) -> _QueryFacts:
-    key = (g, q)
-    facts = _FACTS_CACHE.get(key)
-    if facts is None:
-        if len(_FACTS_CACHE) > 2048:
-            _FACTS_CACHE.clear()
-        facts = _QueryFacts(g, q)
-        _FACTS_CACHE[key] = facts
-    return facts
+    return _QueryFacts(g, q)
 
 
 def _check_z_shape(g: SCG, q: MicroQuery, z: AdjustmentSet) -> None:
@@ -525,8 +512,8 @@ class BackdoorTester:
     """Reusable classical back-door check against one template.
 
     Builds the padded unrolling once; ``check`` then costs one descendant
-    lookup plus one reachability sweep per candidate set.  Integer-indexed
-    adjacency keeps the sweep cheap inside corpus loops.
+    lookup plus one run of the shared Bayes-ball ``graph.d_connected``.
+    Integer-indexed adjacency keeps that walk cheap inside corpus loops.
     """
 
     def __init__(self, tmpl: FTDagTemplate, q: MicroQuery, extra_padding: int = 0):
@@ -538,8 +525,8 @@ class BackdoorTester:
         self._parents: list[list[int]] = [[] for _ in range(n)]
         self._children: list[list[int]] = [[] for _ in range(n)]
         x = self._index[q.treatment_var]
-        self._x = x
-        self._y = self._index[q.outcome_var]
+        self._x = (x,)
+        self._y = {self._index[q.outcome_var]}
         for (a, b) in u.edges:
             ia, ib = self._index[a], self._index[b]
             if ia != x:
@@ -547,18 +534,7 @@ class BackdoorTester:
                 # d-separation test; the descendant set keeps them.
                 self._parents[ib].append(ia)
                 self._children[ia].append(ib)
-        de: set[int] = set()
-        stack = [x]
-        full_children: dict[TemporalVar, tuple[TemporalVar, ...]] = u.children
-        order = list(u.nodes)
-        while stack:
-            i = stack.pop()
-            if i in de:
-                continue
-            de.add(i)
-            for w in full_children[order[i]]:
-                stack.append(self._index[w])
-        self._de_x = frozenset(de)
+        self._de_x = frozenset(self._index[v] for v in closure(u.children, [q.treatment_var]))
 
     def _z_indices(self, z: Iterable[TemporalVar]) -> set[int]:
         try:
@@ -573,46 +549,7 @@ class BackdoorTester:
         zi = self._z_indices(z)
         if zi & self._de_x:
             return False
-        # Collider openers: ancestors of z in the pruned graph.
-        opens: set[int] = set(zi)
-        stack = list(zi)
-        parents, children = self._parents, self._children
-        while stack:
-            i = stack.pop()
-            for p in parents[i]:
-                if p not in opens:
-                    opens.add(p)
-                    stack.append(p)
-        y = self._y
-        seen_up: set[int] = set()
-        seen_down: set[int] = set()
-        stack2: list[tuple[int, bool]] = [(self._x, True)]
-        while stack2:
-            v, up = stack2.pop()
-            if up:
-                if v in seen_up:
-                    continue
-                seen_up.add(v)
-            else:
-                if v in seen_down:
-                    continue
-                seen_down.add(v)
-            if v == y:
-                return False
-            if up:
-                if v not in zi:
-                    for p in parents[v]:
-                        stack2.append((p, True))
-                    for c in children[v]:
-                        stack2.append((c, False))
-            else:
-                if v not in zi:
-                    for c in children[v]:
-                        stack2.append((c, False))
-                if v in opens:
-                    for p in parents[v]:
-                        stack2.append((p, True))
-        return True
+        return not d_connected(self._parents, self._children, self._x, self._y, zi)
 
 
 def classical_backdoor_check(
@@ -634,22 +571,10 @@ def qopt_witness_template(g: SCG, q: MicroQuery) -> FTDagTemplate:
     zero: set[tuple[str, str]] = set()
     zero_children: dict[str, set[str]] = {v: set() for v in g.nodes}
 
-    def reaches(src: str, dst: str) -> bool:
-        stack, seen = [src], {src}
-        while stack:
-            v = stack.pop()
-            if v == dst:
-                return True
-            for w in zero_children[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return False
-
     def try_add(u: str, w: str) -> None:
         if u == w or (u, w) in zero or (u, w) not in g.edges:
             return
-        if reaches(w, u):
+        if u in closure(zero_children, [w]):
             return
         zero.add((u, w))
         zero_children[u].add(w)
@@ -664,7 +589,7 @@ def qopt_witness_template(g: SCG, q: MicroQuery) -> FTDagTemplate:
         targets = sorted({w for (_, w) in zero}, key=g.index)
         for w in targets:
             for p in g.sorted_nodes(g.parents(w)):
-                if (p, w) not in zero and p != w and not reaches(w, p):
+                if (p, w) not in zero and p != w and p not in closure(zero_children, [w]):
                     zero.add((p, w))
                     zero_children[p].add(w)
                     changed = True

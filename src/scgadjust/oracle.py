@@ -34,6 +34,7 @@ from .identify import (
     scg_backdoor_check,
 )
 from .unroll import (
+    FTDagTemplate,
     MicroQuery,
     TemplateCapExceeded,
     TemporalVar,
@@ -42,7 +43,9 @@ from .unroll import (
     densest_templates,
     enumerate_compatible_templates,
     instantiate,
+    padded_window,
     sort_temporal,
+    unroll,
 )
 
 ENV_TEMPLATE_CAP = "SCGADJUST_TEMPLATE_CAP"
@@ -133,6 +136,19 @@ def random_scg(cfg: CorpusConfig, index: int) -> SCG:
     return validate_scg(names, edges)
 
 
+def validation_templates(
+    g: SCG, gamma_max: int, cap: int, check_all: bool | None = None
+) -> list[FTDagTemplate]:
+    """The templates a validity check runs against: every compatible one when
+    there are at most ``cap`` of them (or ``check_all`` says so), otherwise
+    the densest ones, which stand in for all of them."""
+    if check_all is None:
+        check_all = count_compatible_templates(g, gamma_max, cap) <= cap
+    if check_all:
+        return enumerate_compatible_templates(g, gamma_max, cap=1_000_000)
+    return densest_templates(g, gamma_max)
+
+
 def common_backdoor_valid(
     g: SCG,
     q: MicroQuery,
@@ -150,12 +166,7 @@ def common_backdoor_valid(
     n_densest = count_densest_templates(g)
     if n_densest > cap:
         raise TemplateCapExceeded(cap, n_densest)
-    if check_all_templates is None:
-        check_all_templates = count_compatible_templates(g, q.gamma_max, cap) <= cap
-    if check_all_templates:
-        templates = enumerate_compatible_templates(g, q.gamma_max, cap=1_000_000)
-    else:
-        templates = densest_templates(g, q.gamma_max)
+    templates = validation_templates(g, q.gamma_max, cap, check_all_templates)
     return all(BackdoorTester(t, q).check(z) for t in templates)
 
 
@@ -274,8 +285,6 @@ def soundness_experiment(
     counterexamples: list[dict] = []
     graphs_tested = 0
     skipped = 0
-    sets_checked = 0
-    sets_sound = 0
     condition_c_form_mismatches = 0
     padding_instabilities = 0
 
@@ -292,30 +301,23 @@ def soundness_experiment(
 
         full_count = count_compatible_templates(g, cfg.gamma_max, cfg.template_cap)
         use_all = full_count <= cfg.template_cap
+        templates = None
         for gamma in gammas:
             q = MicroQuery("X", "Y", gamma, cfg.gamma_max)
             verdict = identify(g, q)
             if identify(g, q, condition_c_form="component").kind is not verdict.kind:
                 condition_c_form_mismatches += 1
 
-            if verdict.kind is VerdictKind.NOT_IDENTIFIABLE:
-                rows.append(
-                    GraphRow(
-                        index, len(g.nodes), len(g.edges), gamma, verdict.kind.value,
-                        n_densest, full_count if use_all else None, False, 0, 0,
-                    )
-                )
-                continue
-
+            n_checked = n_sound = 0
             if verdict.kind is VerdictKind.NON_ANCESTOR:
                 # The canonical set here is empty; its classical counterpart is
                 # that no compatible template makes the treatment an ancestor.
                 ok = all(
-                    q.outcome_var not in _tester(t, q).graph.descendants_of([q.treatment_var])
+                    q.outcome_var
+                    not in unroll(t, *padded_window(g, q)).descendants_of([q.treatment_var])
                     for t in densest_templates(g, cfg.gamma_max)
                 )
-                sets_checked += 1
-                sets_sound += int(ok)
+                n_checked, n_sound = 1, int(ok)
                 if not ok:
                     counterexamples.append(
                         {
@@ -325,73 +327,57 @@ def soundness_experiment(
                             "reason": "non-ancestor verdict contradicted by a compatible template",
                         }
                     )
-                rows.append(
-                    GraphRow(
-                        index, len(g.nodes), len(g.edges), gamma, verdict.kind.value,
-                        n_densest, full_count if use_all else None, False, 1, int(ok),
-                    )
+            elif verdict.kind is not VerdictKind.NOT_IDENTIFIABLE:
+                if templates is None:
+                    templates = validation_templates(g, cfg.gamma_max, cfg.template_cap, use_all)
+                testers = [BackdoorTester(t, q) for t in templates]
+                padded = (
+                    [BackdoorTester(t, q, extra_padding=cfg.gamma_max + 1) for t in templates]
+                    if check_padding_stability
+                    else None
                 )
-                continue
 
-            if use_all:
-                templates = enumerate_compatible_templates(g, cfg.gamma_max, cfg.template_cap)
-            else:
-                templates = densest_templates(g, cfg.gamma_max)
-            testers = [BackdoorTester(t, q) for t in templates]
-            padded = (
-                [BackdoorTester(t, q, extra_padding=cfg.gamma_max + 1) for t in templates]
-                if check_padding_stability
-                else None
-            )
+                to_check: dict[AdjustmentSet, str] = {}
+                for z in candidate_subsets(g, q, cfg.max_subset_size):
+                    if checker(g, q, z).satisfied:
+                        to_check.setdefault(z, "criterion")
+                for name, z in canonical_sets(g, q).items():
+                    to_check.setdefault(z, name)
 
-            to_check: dict[AdjustmentSet, str] = {}
-            for z in candidate_subsets(g, q, cfg.max_subset_size):
-                if checker(g, q, z).satisfied:
-                    to_check.setdefault(z, "criterion")
-            for name, z in canonical_sets(g, q).items():
-                to_check.setdefault(z, name)
-
-            n_checked_here = 0
-            n_sound_here = 0
-            for z, origin in sorted(
-                to_check.items(), key=lambda item: adjustment_set_to_obj(g, item[0])
-            ):
-                valid = True
-                witness = None
-                for j, tester in enumerate(testers):
-                    v = tester.check(z)
-                    if padded is not None:
-                        v_deep = padded[j].check(z)
-                        if v_deep != v:
-                            padding_instabilities += 1
-                            v = v_deep
-                    if not v:
-                        valid = False
-                        witness = templates[j]
-                        break
-                sets_checked += 1
-                n_checked_here += 1
-                if valid:
-                    sets_sound += 1
-                    n_sound_here += 1
-                else:
-                    counterexamples.append(
-                        {
-                            "graph_index": index,
-                            "gamma": gamma,
-                            "origin": origin,
-                            "set": adjustment_set_to_obj(g, z),
-                            "template_lags": {
-                                f"{u}->{w}": sorted(ls) for (u, w), ls in witness.lag_entries
-                            },
-                            "reason": "criterion-accepted set fails the classical back-door check",
-                        }
-                    )
+                for z, origin in sorted(
+                    to_check.items(), key=lambda item: adjustment_set_to_obj(g, item[0])
+                ):
+                    witness = None
+                    for j, tester in enumerate(testers):
+                        v = tester.check(z)
+                        if padded is not None:
+                            v_deep = padded[j].check(z)
+                            if v_deep != v:
+                                padding_instabilities += 1
+                                v = v_deep
+                        if not v:
+                            witness = templates[j]
+                            break
+                    n_checked += 1
+                    if witness is None:
+                        n_sound += 1
+                    else:
+                        counterexamples.append(
+                            {
+                                "graph_index": index,
+                                "gamma": gamma,
+                                "origin": origin,
+                                "set": adjustment_set_to_obj(g, z),
+                                "template_lags": {
+                                    f"{u}->{w}": sorted(ls) for (u, w), ls in witness.lag_entries
+                                },
+                                "reason": "criterion-accepted set fails the classical back-door check",
+                            }
+                        )
             rows.append(
                 GraphRow(
                     index, len(g.nodes), len(g.edges), gamma, verdict.kind.value,
-                    n_densest, full_count if use_all else None, False,
-                    n_checked_here, n_sound_here,
+                    n_densest, full_count if use_all else None, False, n_checked, n_sound,
                 )
             )
 
@@ -399,25 +385,13 @@ def soundness_experiment(
         config=cfg,
         graphs_tested=graphs_tested,
         graphs_skipped_over_cap=skipped,
-        sets_checked=sets_checked,
-        sets_sound=sets_sound,
+        sets_checked=sum(row.sets_checked for row in rows),
+        sets_sound=sum(row.sets_sound for row in rows),
         counterexamples=tuple(counterexamples),
         condition_c_form_mismatches=condition_c_form_mismatches,
         padding_instabilities=padding_instabilities,
         rows=tuple(rows),
     )
-
-
-_TESTER_CACHE: dict = {}
-
-
-def _tester(tmpl, q) -> BackdoorTester:
-    key = (tmpl, q)
-    if key not in _TESTER_CACHE:
-        if len(_TESTER_CACHE) > 512:
-            _TESTER_CACHE.clear()
-        _TESTER_CACHE[key] = BackdoorTester(tmpl, q)
-    return _TESTER_CACHE[key]
 
 
 def probe_graph(
@@ -488,26 +462,3 @@ def completeness_probe(cfg: CorpusConfig, gammas: tuple[int, ...] = (0, 1)) -> P
                 }
             )
     return ProbeReport(cfg, tuple(per_graph), total, skipped)
-
-
-def identifiable_corpus(
-    cfg: CorpusConfig, count: int, gammas: tuple[int, ...] = (0, 1)
-) -> list[tuple[int, SCG, MicroQuery]]:
-    """First ``count`` (graph, query) pairs with an A/B/C verdict under the cap."""
-    out = []
-    index = 0
-    while len(out) < count and index < cfg.n_graphs * 100:
-        g = random_scg(cfg, index)
-        if count_densest_templates(g) <= cfg.template_cap:
-            for gamma in gammas:
-                q = MicroQuery("X", "Y", gamma, cfg.gamma_max)
-                if identify(g, q).kind in (
-                    VerdictKind.COND_A,
-                    VerdictKind.COND_B,
-                    VerdictKind.COND_C,
-                ):
-                    out.append((index, g, q))
-                    if len(out) >= count:
-                        break
-        index += 1
-    return out

@@ -146,8 +146,7 @@ def generate(
     idx = {v: i for i, v in enumerate(g.nodes)}
     total = burn_in + horizon
 
-    zero_edges = [edge for edge, ls in model.template.lag_entries if 0 in ls]
-    order = _zero_lag_topo_order(g, zero_edges)
+    order = model.template.zero_lag_order()
     by_target: dict[str, list[tuple[int, int, float]]] = {v: [] for v in g.nodes}
     for ((u, w), lag), c in model.coeff_entries:
         by_target[w].append((idx[u], lag, c))
@@ -166,34 +165,12 @@ def generate(
     return Dataset(g.nodes, values[:, burn_in:, :])
 
 
-def _zero_lag_topo_order(g: SCG, zero_edges: list[tuple[str, str]]) -> list[str]:
-    indegree = {v: 0 for v in g.nodes}
-    children: dict[str, list[str]] = {v: [] for v in g.nodes}
-    for (u, w) in zero_edges:
-        indegree[w] += 1
-        children[u].append(w)
-    ready = [v for v in g.nodes if indegree[v] == 0]
-    order: list[str] = []
-    while ready:
-        ready.sort(key=g.index)
-        v = ready.pop(0)
-        order.append(v)
-        for w in children[v]:
-            indegree[w] -= 1
-            if indegree[w] == 0:
-                ready.append(w)
-    if len(order) != len(g.nodes):
-        raise ValueError("lag-0 subgraph is cyclic")
-    return order
-
-
 def true_effect(model: LinearDTDSCM, q: MicroQuery) -> float:
     """Sum over directed paths from treatment@(t-gamma) to outcome@t of the
     coefficient products, by dynamic programming over offsets."""
     g = model.template.scg
     g.check_nodes([q.treatment, q.outcome])
-    zero_edges = [edge for edge, ls in model.template.lag_entries if 0 in ls]
-    order = _zero_lag_topo_order(g, zero_edges)
+    order = model.template.zero_lag_order()
     start = TemporalVar(q.treatment, -q.gamma)
     eff: dict[TemporalVar, float] = {start: 1.0}
     for s in range(-q.gamma, 1):

@@ -15,7 +15,16 @@ from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from typing import Iterable, Iterator, NamedTuple
 
-from .graph import SCG, GraphError, scc_partition, scg_from_json, validate_scg
+from .graph import (
+    SCG,
+    GraphError,
+    closure,
+    d_connected,
+    scc_partition,
+    scg_from_json,
+    topological_order,
+    validate_scg,
+)
 
 
 class TemporalVar(NamedTuple):
@@ -115,23 +124,16 @@ class FTDagTemplate:
         }
         return json.dumps(payload, indent=2)
 
-
-def _edges_acyclic(nodes: Iterable[str], edges: Iterable[tuple[str, str]]) -> bool:
-    children: dict[str, list[str]] = {v: [] for v in nodes}
-    indegree = {v: 0 for v in nodes}
-    for (u, w) in edges:
-        children[u].append(w)
-        indegree[w] += 1
-    queue = [v for v in children if indegree[v] == 0]
-    seen = 0
-    while queue:
-        v = queue.pop()
-        seen += 1
-        for w in children[v]:
-            indegree[w] -= 1
-            if indegree[w] == 0:
-                queue.append(w)
-    return seen == len(indegree)
+    def zero_lag_order(self) -> list[str]:
+        """Series in lag-0 topological order, smallest declaration index first."""
+        children: dict[str, list[str]] = {v: [] for v in self.scg.nodes}
+        for (u, w), ls in self.lag_entries:
+            if 0 in ls:
+                children[u].append(w)
+        order = topological_order(self.scg.nodes, children)
+        if order is None:
+            raise TemplateError("lag-0 edge subgraph contains a macro cycle")
+        return order
 
 
 def make_template(g: SCG, gamma_max: int, lags: dict[tuple[str, str], Iterable[int]]) -> FTDagTemplate:
@@ -151,10 +153,9 @@ def make_template(g: SCG, gamma_max: int, lags: dict[tuple[str, str], Iterable[i
         if ls[0] < lo or ls[-1] > gamma_max:
             raise TemplateError(f"lags {ls} for edge {edge} outside [{lo}, {gamma_max}]")
         entries.append((edge, ls))
-    zero_edges = [edge for edge, ls in entries if 0 in ls]
-    if not _edges_acyclic(g.nodes, zero_edges):
-        raise TemplateError("lag-0 edge subgraph contains a macro cycle")
-    return FTDagTemplate(g, gamma_max, tuple(entries))
+    tmpl = FTDagTemplate(g, gamma_max, tuple(entries))
+    tmpl.zero_lag_order()  # raises TemplateError on a lag-0 macro cycle
+    return tmpl
 
 
 def macro_projection(tmpl: FTDagTemplate) -> SCG:
@@ -178,25 +179,13 @@ def iter_compatible_templates(g: SCG, gamma_max: int) -> Iterator[FTDagTemplate]
     chosen: list[tuple[int, ...]] = []
     zero_children: dict[str, set[str]] = {v: set() for v in g.nodes}
 
-    def zero_reaches(src: str, dst: str) -> bool:
-        stack, seen = [src], {src}
-        while stack:
-            v = stack.pop()
-            if v == dst:
-                return True
-            for w in zero_children[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return False
-
     def rec(i: int) -> Iterator[FTDagTemplate]:
         if i == len(edges):
             yield FTDagTemplate(g, gamma_max, tuple(zip(edges, chosen)))
             return
         u, w = edges[i]
         for subset in choices[i]:
-            if 0 in subset and zero_reaches(w, u):
+            if 0 in subset and u in closure(zero_children, [w]):
                 continue
             chosen.append(subset)
             if 0 in subset:
@@ -332,26 +321,12 @@ class UnrolledGraph:
     def descendants_of(self, s: Iterable[TemporalVar]) -> frozenset[TemporalVar]:
         s = frozenset(s)
         self.check_nodes(s)
-        out, stack = set(s), list(s)
-        while stack:
-            v = stack.pop()
-            for w in self.children[v]:
-                if w not in out:
-                    out.add(w)
-                    stack.append(w)
-        return frozenset(out)
+        return frozenset(closure(self.children, s))
 
     def ancestors_of(self, s: Iterable[TemporalVar]) -> frozenset[TemporalVar]:
         s = frozenset(s)
         self.check_nodes(s)
-        out, stack = set(s), list(s)
-        while stack:
-            v = stack.pop()
-            for u in self.parents[v]:
-                if u not in out:
-                    out.add(u)
-                    stack.append(u)
-        return frozenset(out)
+        return frozenset(closure(self.parents, s))
 
     def without_outgoing(self, v: TemporalVar) -> "UnrolledGraph":
         self.check_nodes([v])
@@ -394,42 +369,13 @@ def d_separated(
     b: Iterable[TemporalVar],
     z: Iterable[TemporalVar],
 ) -> bool:
-    """Whether ``z`` blocks every path between ``a`` and ``b``.
-
-    Linear-time reachability with collider bookkeeping: a trail may pass
-    through a collider only when the collider has a descendant in ``z`` and
-    through a non-collider only when the node itself is outside ``z``.
-    """
+    """Whether ``z`` blocks every path between ``a`` and ``b``: the arguments
+    are checked here, the walk is the shared Bayes-ball ``graph.d_connected``."""
     a, b, z = frozenset(a), frozenset(b), frozenset(z)
     if a & b or a & z or b & z:
         raise ValueError("a, b, z must be pairwise disjoint")
     u.check_nodes(a | b | z)
-    opens = u.ancestors_of(z) if z else frozenset()
-
-    seen: set[tuple[TemporalVar, bool]] = set()
-    stack: list[tuple[TemporalVar, bool]] = [(x, True) for x in a]
-    while stack:
-        state = stack.pop()
-        if state in seen:
-            continue
-        seen.add(state)
-        v, arrived_up = state
-        if v in b:
-            return False
-        if arrived_up:
-            if v not in z:
-                for p in u.parents[v]:
-                    stack.append((p, True))
-                for c in u.children[v]:
-                    stack.append((c, False))
-        else:
-            if v not in z:
-                for c in u.children[v]:
-                    stack.append((c, False))
-            if v in opens:
-                for p in u.parents[v]:
-                    stack.append((p, True))
-    return True
+    return not d_connected(u.parents, u.children, a, b, z)
 
 
 def d_separated_bruteforce(
@@ -521,19 +467,29 @@ def template_from_json(text: str) -> FTDagTemplate:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise TemplateError(f"invalid template JSON: {exc}") from exc
-    g = validate_scg(payload["scg"]["nodes"], payload["scg"]["edges"])
-    lags = {tuple(item["edge"]): item["set"] for item in payload["lags"]}
-    return make_template(g, int(payload["gamma_max"]), lags)
+    try:
+        g = validate_scg(payload["scg"]["nodes"], payload["scg"]["edges"])
+        lags = {tuple(item["edge"]): item["set"] for item in payload["lags"]}
+        gamma_max = int(payload["gamma_max"])
+    except (KeyError, TypeError) as exc:
+        raise TemplateError(f"malformed template JSON ({type(exc).__name__}: {exc})") from None
+    return make_template(g, gamma_max, lags)
 
 
 def query_from_json(text: str) -> MicroQuery:
-    payload = json.loads(text)
-    return MicroQuery(
-        treatment=payload["treatment"],
-        outcome=payload["outcome"],
-        gamma=int(payload["gamma"]),
-        gamma_max=int(payload["gamma_max"]),
-    )
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise QueryError(f"invalid query JSON: {exc}") from exc
+    try:
+        return MicroQuery(
+            treatment=payload["treatment"],
+            outcome=payload["outcome"],
+            gamma=int(payload["gamma"]),
+            gamma_max=int(payload["gamma_max"]),
+        )
+    except (KeyError, TypeError) as exc:
+        raise QueryError(f"malformed query JSON ({type(exc).__name__}: {exc})") from None
 
 
 __all__ = [

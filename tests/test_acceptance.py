@@ -9,6 +9,7 @@ they are implemented exactly as stated and marked strict-xfail so the gap
 stays visible without masking the rest of the gate.
 """
 
+import hashlib
 import time
 
 import pytest
@@ -48,6 +49,9 @@ DESK_CORPUS = CorpusConfig(
     seed=7,
     max_subset_size=5,
 )
+
+CORPUS_CSV_SHA256 = "1ffdc075632591469f965d85517885ff693bdf4b3812f2d4ce7bc2b1e44dee1a"
+CORPUS_JSON_SHA256 = "5faeffc341b330a62ffedfdb0a216a71c233f70e6f7519328de5a788d465c475"
 
 
 def report_line(name: str, ok: bool, detail: str = "") -> None:
@@ -131,6 +135,10 @@ def test_criterion_3_soundness_replication(corpus_report):
     assert report.counterexamples == ()
     assert report.sets_sound == report.sets_checked
     assert elapsed < 300.0
+    # Byte-identical reports for the seed-7 corpus: refactors of the graph
+    # kernels must not move a single row.
+    assert hashlib.sha256(report.to_csv().encode()).hexdigest() == CORPUS_CSV_SHA256
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == CORPUS_JSON_SHA256
 
 
 def test_criterion_4_incompleteness_probe(latent_fork_collider):

@@ -41,6 +41,25 @@ class TestIdentify:
         assert json.loads(capsys.readouterr().out)["verdict"] == "NotIdentifiable"
 
 
+class TestMalformedGraph:
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"nodes": "XY", "edges": []},
+            {"nodes": {"X": 0, "Y": 1}, "edges": []},
+            {"nodes": ["X", "Y"], "edges": 5},
+            {"nodes": ["X", "Y"], "edges": [[["X"], "Y"]]},
+        ],
+        ids=["nodes-string", "nodes-object", "edges-int", "endpoint-list"],
+    )
+    def test_exit_4(self, tmp_path, capsys, payload):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        code = run(["identify", *q_flags(str(path))])
+        assert code == 4
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestCheck:
     def test_accept(self, graph_file, capsys):
         code = run(["check", *q_flags(graph_file), "--set", '[["X",-2],["W",-2],["W",-1]]'])

@@ -11,7 +11,7 @@ from scgadjust import (
     scg_from_json,
     validate_scg,
 )
-from scgadjust.graph import simple_directed_paths
+from scgadjust.graph import closure, d_connected, simple_directed_paths, topological_order
 
 from .conftest import small_scgs
 
@@ -38,6 +38,10 @@ class TestValidate:
     def test_duplicate_edge(self):
         with pytest.raises(GraphError, match="duplicate edge"):
             validate_scg(["X", "Y"], [("X", "Y"), ("X", "Y")])
+
+    def test_string_edge(self):
+        with pytest.raises(GraphError, match="edge must be a list"):
+            validate_scg(["X", "Y"], ["XY"])
 
     def test_json_round_trip(self, persistence_chain):
         again = scg_from_json(persistence_chain.to_json())
@@ -170,6 +174,30 @@ class TestCycleProfile:
         g = validate_scg(["X", "Y", "W2"], [("X", "Y"), ("Y", "X"), ("X", "W2"), ("W2", "X")])
         assert _cycles_through(g, "Y") == {frozenset({"X", "Y"})}
         assert cycle_profile(g, "Y").only_cycle_is_two_cycle_with is None
+
+
+class TestKernel:
+    def test_closure_on_int_lists(self):
+        adj = [[1], [2], [], [0]]
+        assert closure(adj, [0]) == {0, 1, 2}
+        assert closure(adj, []) == set()
+
+    def test_topological_order_smallest_index_first(self):
+        # C and B are both ready after A and C is declared first; in the
+        # second graph A becomes ready after B and still precedes C.
+        assert topological_order(["A", "C", "B"], {"A": ["B", "C"], "B": [], "C": []}) == ["A", "C", "B"]
+        assert topological_order(["A", "B", "C"], {"A": [], "B": ["A"], "C": []}) == ["B", "A", "C"]
+
+    def test_topological_order_reports_cycle(self):
+        assert topological_order(["A", "B"], {"A": ["B"], "B": ["A"]}) is None
+
+    def test_d_connected_collider(self):
+        # 0 -> 2 <- 1, 2 -> 3: the collider opens once 2 or its descendant 3 is given.
+        parents = [[], [], [0, 1], [2]]
+        children = [[2], [2], [3], []]
+        assert not d_connected(parents, children, [0], {1}, set())
+        assert d_connected(parents, children, [0], {1}, {2})
+        assert d_connected(parents, children, [0], {1}, {3})
 
 
 class TestSimplePaths:

@@ -298,3 +298,19 @@ class TestSerialization:
 
         q = MicroQuery("X", "Y", 1, 2)
         assert query_from_json(q.to_json()) == q
+
+    def test_template_json_missing_key(self, persistence_template):
+        import json
+
+        from scgadjust.unroll import template_from_json
+
+        payload = json.loads(persistence_template.to_json())
+        del payload["lags"]
+        with pytest.raises(TemplateError, match="lags"):
+            template_from_json(json.dumps(payload))
+
+    def test_query_json_missing_key(self):
+        from scgadjust.unroll import query_from_json
+
+        with pytest.raises(QueryError, match="gamma_max"):
+            query_from_json('{"treatment": "X", "outcome": "Y", "gamma": 1}')
