@@ -32,7 +32,6 @@ from .oracle import (
     probe_graph,
     soundness_experiment,
 )
-from .simulate import dataset_to_csv, variance_experiment
 from .unroll import (
     MicroQuery,
     QueryError,
@@ -200,6 +199,9 @@ def cmd_probe(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    # numpy is loaded here only, so the graph-only commands start faster.
+    from .simulate import dataset_to_csv, generate, sample_linear_model, variance_experiment
+
     g = _load_graph(args.graph)
     q = _query(args)
     named = canonical_sets(g, q)
@@ -218,8 +220,6 @@ def cmd_simulate(args) -> int:
     )
     _emit(json.dumps(report, indent=2, sort_keys=True), args.out)
     if args.dump_data:
-        from .simulate import generate, sample_linear_model
-
         tmpl = densest_templates(g, q.gamma_max)[0]
         model = sample_linear_model(tmpl, seed=args.seed)
         data = generate(model, args.n, q.gamma + q.gamma_max + 1, 25, args.seed)
@@ -299,9 +299,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # The parser reads SCGADJUST_TEMPLATE_CAP for its defaults, so a
+        # malformed value is reported like any other input error.
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except TemplateCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -426,20 +426,45 @@ def possible_descendants(
 ) -> frozenset[TemporalVar]:
     """Temporal variables that descend from ``v@offset`` in some compatible FT-DAG.
 
-    Every compatible template is contained lag-set-wise in a densest template
-    and descendant sets grow with lag sets, so the union over densest
-    templates equals the union over all compatible ones (the brute-force
-    oracle below recomputes the latter directly).
+    Computed as reachability in one *union unrolling* of the window: every
+    non-self edge carries every lag 0..gamma_max, every self-loop every lag
+    1..gamma_max, and edges leaving the window are dropped.  No template is
+    enumerated.
+
+    Every compatible template is contained lag-set-wise in a densest one, so
+    it suffices to match the union over densest templates.  A densest
+    template keeps lags 1..gamma_max on every edge and lag 0 on every
+    inter-component edge plus the intra-component edges pointing forward in
+    some node order pi.  Each densest unrolling is a subgraph of the union
+    unrolling, which gives one inclusion.  Conversely, a path from ``v@o`` to
+    ``w@o+k`` in the union unrolling is a macro walk W from v to w whose lags
+    sum to k, i.e. s(W) <= k <= gamma_max*|W| with s(W) its self-loop count
+    (lags redistribute freely, and intermediate offsets stay in [o, o+k]).
+    Take W shortest among such walks.  If k >= |W|, put lag >= 1 on every
+    step: present in every densest template.  Otherwise removing any closed
+    subwalk K keeps s <= k, so by minimality gamma_max*(|W|-|K|) < k, hence
+    |K| > |W| - k: the first |W| - k steps of W repeat no node.  They form a
+    simple path without self-loops; give them lag 0, the other k steps lag 1,
+    and take pi to order that path forward.  That densest template contains
+    the walk.
     """
     lo, hi = window
     if not (lo <= offset <= hi):
         raise ValueError(f"offset {offset} outside window {window}")
-    out: set[TemporalVar] = set()
-    start = TemporalVar(v, offset)
-    for tmpl in densest_templates(g, gamma_max):
-        u = unroll(tmpl, lo, hi)
-        out |= u.descendants_of([start])
-    return frozenset(out)
+    g.index(v)
+    if gamma_max < 1:
+        raise TemplateError("gamma_max must be >= 1")
+    # Lags never point backwards, so slices before ``offset`` are never reached.
+    children = {
+        TemporalVar(u, s): [
+            TemporalVar(w, s + lag)
+            for w in g._children[u]
+            for lag in range(1 if w == u else 0, min(gamma_max, hi - s) + 1)
+        ]
+        for u in g.nodes
+        for s in range(offset, hi + 1)
+    }
+    return frozenset(closure(children, [TemporalVar(v, offset)]))
 
 
 def possible_descendants_bruteforce(

@@ -1,7 +1,11 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import scgadjust
 from scgadjust.cli import run
 
 
@@ -58,6 +62,26 @@ class TestMalformedGraph:
         code = run(["identify", *q_flags(str(path))])
         assert code == 4
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestMalformedTemplateCap:
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    @pytest.mark.parametrize("command", ["identify", "validate"])
+    def test_exit_4(self, graph_file, monkeypatch, capsys, value, command):
+        monkeypatch.setenv("SCGADJUST_TEMPLATE_CAP", value)
+        argv = q_flags(graph_file) if command == "identify" else ["--n-graphs", "1"]
+        assert run([command, *argv]) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: SCGADJUST_TEMPLATE_CAP") and err.count("\n") == 1
+
+
+class TestColdImport:
+    def test_graph_commands_skip_numpy(self):
+        src = str(Path(scgadjust.__file__).resolve().parent.parent)
+        probe = f"import sys; sys.path.insert(0, {src!r}); import scgadjust.cli; print('numpy' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "False"
 
 
 class TestCheck:

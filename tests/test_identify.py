@@ -1,3 +1,7 @@
+import random
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,10 +29,12 @@ from scgadjust import (
     qopt_witness_template,
     qopt,
     scg_backdoor_check,
+    scg_from_json,
     set_a1,
     set_a2,
     validate_scg,
 )
+from scgadjust.identify import query_facts
 
 from .conftest import query, small_scgs, tv, zset
 
@@ -344,6 +350,59 @@ class TestCanonicalSets:
                 if name in ("a1", "a2"):
                     continue
                 assert scg_backdoor_check(g, q, z).satisfied, (name, sorted(z))
+
+
+GRAPHS_DIR = Path(__file__).resolve().parent.parent / "graphs"
+
+
+def _sparse_scg(n: int, p: float, seed: int):
+    rng = random.Random(f"sparse-scg:{seed}")
+    names = ["X", "Y"] + [f"V{i}" for i in range(2, n)]
+    return validate_scg(names, [(u, w) for u in names for w in names if rng.random() < p])
+
+
+class TestMacroPathEnumeratesNoTemplates:
+    """``identify``, ``canonical_sets``/``qopt`` and ``scg_backdoor_check``
+    answer without enumerating or unrolling a single full-time DAG."""
+
+    ENUMERATORS = ("densest_templates", "iter_compatible_templates", "unroll")
+
+    @pytest.fixture(autouse=True)
+    def forbid_enumeration(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the macro path enumerated full-time DAGs")
+
+        for name, mod in list(sys.modules.items()):
+            if name == "scgadjust" or name.startswith("scgadjust."):
+                for attr in self.ENUMERATORS:
+                    if hasattr(mod, attr):
+                        monkeypatch.setattr(mod, attr, forbidden)
+        query_facts.cache_clear()
+        yield
+        query_facts.cache_clear()
+
+    def answer(self, g, q):
+        verdict = identify(g, q)
+        z = frozenset()
+        if verdict.identifiable:
+            canonical_sets(g, q)
+            if verdict.kind is not VerdictKind.NON_ANCESTOR:
+                z = qopt(g, q)
+        return verdict, scg_backdoor_check(g, q, z)
+
+    @pytest.mark.parametrize("gamma", [0, 1])
+    @pytest.mark.parametrize("path", sorted(GRAPHS_DIR.glob("*.json")), ids=lambda p: p.stem)
+    def test_sample_graphs(self, path, gamma):
+        g = scg_from_json(path.read_text(encoding="utf-8"))
+        self.answer(g, MicroQuery("X", "Y", gamma, 1))
+
+    def test_twenty_node_scg(self):
+        g = _sparse_scg(20, 0.11, seed=14)
+        assert len(g.edges) == 45
+        for gamma in (0, 1):
+            verdict, report = self.answer(g, MicroQuery("X", "Y", gamma, 1))
+            assert verdict.kind is VerdictKind.COND_A
+            assert report.satisfied
 
 
 class TestSerializationAndEstimand:

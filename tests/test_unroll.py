@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from scgadjust import (
     QueryError,
     TemplateCapExceeded,
     TemplateError,
+    TemporalVar,
     d_separated,
     d_separated_bruteforce,
     densest_templates,
@@ -19,7 +22,7 @@ from scgadjust import (
     unroll,
     validate_scg,
 )
-from scgadjust.graph import on_any_cycle
+from scgadjust.graph import GraphError, on_any_cycle
 from scgadjust.oracle import CorpusConfig, random_scg
 from scgadjust.unroll import count_compatible_templates, count_densest_templates, sort_temporal
 
@@ -276,6 +279,63 @@ class TestPossibleDescendants:
         fast = possible_descendants(g, g.nodes[0], q_offset, (-2, 0), 1)
         brute = possible_descendants_bruteforce(g, g.nodes[0], q_offset, (-2, 0), 1)
         assert fast == brute
+
+
+def _dense_scg(seed: int):
+    rng = random.Random(f"dense-scg:{seed}")
+    names = [f"V{i}" for i in range(rng.randint(3, 6))]
+    p = rng.uniform(0.4, 0.8)
+    return validate_scg(names, [(u, w) for u in names for w in names if rng.random() < p])
+
+
+class TestUnionUnrolling:
+    """``possible_descendants`` (reachability in one union unrolling) equals
+    the union of descendant sets over the densest templates.
+
+    Proof sketch (the full argument is in the function's docstring): each
+    densest unrolling is a subgraph of the union unrolling.  Conversely a
+    union-unrolling path from v@o to w@o+k is a macro walk W whose lags sum
+    to k.  Take W shortest.  With at most k steps, every step can carry a
+    lag >= 1, which every densest template has.  With more, dropping any
+    closed subwalk would leave too few steps to carry k, so the first
+    |W| - k steps repeat no node: that simple path takes lag 0 in the
+    densest template ordering it forward, every other step lag 1.  This
+    test is the executable gate for that argument.
+    """
+
+    MAX_DENSEST = 400
+
+    def assert_matches_densest_union(self, graphs, gamma_max):
+        window = (-(gamma_max + 2), 0)
+        checked = 0
+        for g in graphs:
+            if count_densest_templates(g) > self.MAX_DENSEST:
+                continue
+            unrollings = [unroll(t, *window) for t in densest_templates(g, gamma_max)]
+            for v in g.nodes:
+                for offset in range(window[0], window[1] + 1):
+                    start = TemporalVar(v, offset)
+                    union = frozenset().union(*(u.descendants_of([start]) for u in unrollings))
+                    assert possible_descendants(g, v, offset, window, gamma_max) == union, (g, v, offset)
+            checked += 1
+        return checked
+
+    @pytest.mark.parametrize("gamma_max", [1, 2, 3])
+    def test_random_scgs(self, gamma_max):
+        cfg = CorpusConfig(n_graphs=15, node_count_range=(3, 7), seed=83)
+        graphs = [random_scg(cfg, i) for i in range(cfg.n_graphs)]
+        assert self.assert_matches_densest_union(graphs, gamma_max) >= 12
+
+    @pytest.mark.parametrize("gamma_max", [1, 2, 3])
+    def test_dense_scgs(self, gamma_max):
+        graphs = [_dense_scg(seed) for seed in range(15)]
+        assert self.assert_matches_densest_union(graphs, gamma_max) >= 10
+
+    def test_argument_checks(self, persistence_chain):
+        with pytest.raises(ValueError, match="outside window"):
+            possible_descendants(persistence_chain, "X", 1, (-2, 0), 1)
+        with pytest.raises(GraphError):
+            possible_descendants(persistence_chain, "Q", 0, (-2, 0), 1)
 
 
 class TestSerialization:
