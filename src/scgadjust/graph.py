@@ -7,9 +7,11 @@ as a cycle of length one.  Node order is declaration order and every
 serialized node set is emitted in that order, so identical inputs produce
 byte-identical outputs.
 
-The kernel (``closure``, ``topological_order``, ``d_connected``) works on
-``adj[v]`` lookups only, so the same code serves name-keyed SCG indexes,
+The graph-walk kernel lives here.  ``closure`` and ``topological_order``
+work on ``adj[v]`` lookups, so the same code serves name-keyed SCG indexes,
 ``TemporalVar``-keyed unrollings and int-indexed adjacency lists.
+``d_connected`` is the package's one Bayes-ball; it works on int masks, bit
+i standing for node i.
 """
 
 from __future__ import annotations
@@ -178,44 +180,47 @@ def topological_order(nodes: Sequence, children) -> list | None:
     return order if len(order) == len(nodes) else None
 
 
-def d_connected(parents, children, a: Iterable, b, z) -> bool:
+def d_connected(parents: Sequence[int], children: Sequence[int], a: int, b: int, z: int) -> bool:
     """Bayes-ball (Shachter 1998): whether some trail from ``a`` to ``b`` is
     active given ``z`` in an acyclic graph.
 
-    A ball passes a non-collider only outside ``z`` and bounces up off a
-    collider only when the collider is an ancestor of ``z``.  ``b`` and ``z``
-    are sets; each node is visited at most once per direction.
+    Every argument is an int mask, bit i standing for node i; ``parents[i]``
+    and ``children[i]`` are the masks of node i.  A ball arriving from a
+    child passes to every parent and child of a node outside ``z`` and stops
+    at a node in ``z``.  A ball arriving from a parent passes on to the
+    children of a node outside ``z`` and bounces back to the parents of a
+    node in ``z``, so a collider opens exactly when a descendant of it is in
+    ``z``.  Each node is visited at most once per direction, and reaching
+    ``b`` ends the walk.
     """
-    opens = closure(parents, z)
-    seen_up: set = set()
-    seen_down: set = set()
-    # (node, arrived from a child), i.e. travelling up.
-    stack = [(x, True) for x in a]
-    while stack:
-        v, up = stack.pop()
+    if a & b:
+        return True
+    # Frontiers of nodes reached from a child (travelling up) and from a parent.
+    up, down = a, 0
+    seen_up = seen_down = 0
+    while up or down:
         if up:
-            if v in seen_up:
+            low = up & -up
+            up ^= low
+            seen_up |= low
+            if low & z:
                 continue
-            seen_up.add(v)
+            i = low.bit_length() - 1
+            new_up = parents[i] & ~seen_up
+            new_down = children[i] & ~seen_down
         else:
-            if v in seen_down:
-                continue
-            seen_down.add(v)
-        if v in b:
+            low = down & -down
+            down ^= low
+            seen_down |= low
+            i = low.bit_length() - 1
+            if low & z:
+                new_up, new_down = parents[i] & ~seen_up, 0
+            else:
+                new_up, new_down = 0, children[i] & ~seen_down
+        if (new_up | new_down) & b:
             return True
-        if up:
-            if v not in z:
-                for p in parents[v]:
-                    stack.append((p, True))
-                for c in children[v]:
-                    stack.append((c, False))
-        else:
-            if v not in z:
-                for c in children[v]:
-                    stack.append((c, False))
-            if v in opens:
-                for p in parents[v]:
-                    stack.append((p, True))
+        up |= new_up
+        down |= new_down
     return False
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterable
 
@@ -237,14 +237,16 @@ PARTITION_CYCLE_CAVEAT = (
 
 
 class _QueryFacts:
-    """Per-(graph, query) precomputation shared by the checker and set builders."""
+    """Per-(graph, query) precomputation shared by the checker and set builders.
+
+    The per-query cores are computed on first use and then reused.
+    """
 
     def __init__(self, g: SCG, q: MicroQuery):
         self.g = g
         self.q = q
         self.verdict = identify(g, q)
         self.floor = q.window_floor
-        self.window_vars = instantiate(g.nodes, self.floor, 0)
         self.d = possible_descendants(g, q.treatment, -q.gamma, (self.floor, 0), q.gamma_max)
         x, y = q.treatment, q.outcome
         self.scc_x = scc_of(g, x)
@@ -254,14 +256,24 @@ class _QueryFacts:
         self.pa_x = g.parents(x)
         self.pa_y = g.parents(y)
 
+    @cached_property
+    def descendant_labels(self) -> tuple[dict[TemporalVar, int], dict[TemporalVar, str]]:
+        """Canonical rank and label of every possible descendant, for the
+        clash message; built on the first clash."""
+        order = sort_temporal(self.g, self.d)
+        return {tv: i for i, tv in enumerate(order)}, {tv: tv.label() for tv in order}
+
+    @cached_property
     def core_scc_parents(self) -> AdjustmentSet:
         p = instantiate(self.g.parents_of_set(self.scc_x), self.floor, -self.q.gamma)
         return p - self.d
 
+    @cached_property
     def core_ecn_parents(self) -> AdjustmentSet:
         p = instantiate(self.g.parents_of_set(self.ecn), self.floor, 0)
         return p - self.d
 
+    @cached_property
     def core_treatment_cycle(self) -> AdjustmentSet:
         p = instantiate(self.pa_x, self.floor + 1, 0) | instantiate(
             self.g.parents_of_set(self.ecn), self.floor, 0
@@ -298,6 +310,7 @@ class _QueryFacts:
             return (PARTITION_CYCLE_CAVEAT,)
         return ()
 
+    @cached_property
     def condition_c_parts(self) -> tuple[AdjustmentSet, AdjustmentSet, AdjustmentSet]:
         base = (
             instantiate(self.pa_x, -self.q.gamma_max, 0)
@@ -306,6 +319,12 @@ class _QueryFacts:
         all_x = instantiate(self.pa_x, self.floor, self.floor)
         all_y = instantiate(self.pa_y, self.floor, self.floor)
         return base, all_x, all_y
+
+
+@lru_cache(maxsize=2048)
+def window_vars(nodes: tuple[str, ...], floor: int) -> AdjustmentSet:
+    """Every series at every offset of the adjustment window [floor, 0]."""
+    return instantiate(nodes, floor, 0)
 
 
 @lru_cache(maxsize=2048)
@@ -331,7 +350,9 @@ def scg_backdoor_check(g: SCG, q: MicroQuery, z: Iterable[TemporalVar]) -> Crite
     not-identifiable verdict rejects every set.
     """
     z = frozenset(z)
-    _check_z_shape(g, q, z)
+    # A bad set is reported before the query's facts are built.
+    if not z <= window_vars(g.nodes, q.window_floor):
+        _check_z_shape(g, q, z)
     facts = query_facts(g, q)
     verdict = facts.verdict
 
@@ -340,7 +361,8 @@ def scg_backdoor_check(g: SCG, q: MicroQuery, z: Iterable[TemporalVar]) -> Crite
 
     clash = z & facts.d
     if clash:
-        labels = ", ".join(tv.label() for tv in sort_temporal(g, clash))
+        rank, label = facts.descendant_labels
+        labels = ", ".join(map(label.__getitem__, sorted(clash, key=rank.__getitem__)))
         return CriterionReport(
             False, None, None, EMPTY, (f"possible descendant of treatment in set: {labels}",)
         )
@@ -355,13 +377,13 @@ def scg_backdoor_check(g: SCG, q: MicroQuery, z: Iterable[TemporalVar]) -> Crite
         return ", ".join(tv.label() for tv in gap)
 
     if verdict.kind is VerdictKind.COND_A:
-        core = facts.core_scc_parents()
+        core = facts.core_scc_parents
         if core <= z:
             return CriterionReport(True, "A", "A.1", core)
         violations.append(f"A.1: missing {missing(core)}")
 
         if not facts.cycles_x:
-            core = facts.core_ecn_parents()
+            core = facts.core_ecn_parents
             if core <= z:
                 return CriterionReport(True, "A", "A.2", core)
             violations.append(f"A.2: missing {missing(core)}")
@@ -377,7 +399,7 @@ def scg_backdoor_check(g: SCG, q: MicroQuery, z: Iterable[TemporalVar]) -> Crite
             violations.append("A.3: requires gamma = 0")
 
         if facts.cycles_x and q.gamma > 0:
-            core = facts.core_treatment_cycle()
+            core = facts.core_treatment_cycle
             if core <= z:
                 return CriterionReport(True, "A", "A.4", core)
             violations.append(f"A.4: missing {missing(core)}")
@@ -387,7 +409,7 @@ def scg_backdoor_check(g: SCG, q: MicroQuery, z: Iterable[TemporalVar]) -> Crite
         return CriterionReport(False, "A", None, EMPTY, tuple(violations))
 
     if verdict.kind is VerdictKind.COND_B:
-        core = facts.core_scc_parents()
+        core = facts.core_scc_parents
         if core <= z:
             return CriterionReport(True, "B", "B.1", core)
         violations.append(f"B.1: missing {missing(core)}")
@@ -398,7 +420,7 @@ def scg_backdoor_check(g: SCG, q: MicroQuery, z: Iterable[TemporalVar]) -> Crite
         violations.append("B.2: no mandated/free partition of the set exists")
         return CriterionReport(False, "B", None, EMPTY, tuple(violations))
 
-    base, all_x, all_y = facts.condition_c_parts()
+    base, all_x, all_y = facts.condition_c_parts
     if base <= z:
         if all_x <= z:
             return CriterionReport(True, "C", "C", base | all_x)
@@ -455,8 +477,8 @@ def qopt(g: SCG, q: MicroQuery) -> AdjustmentSet:
         if q.gamma == 0:
             return facts.z1_required(frozenset())
         if not facts.cycles_x:
-            return facts.core_ecn_parents()
-        return facts.core_treatment_cycle()
+            return facts.core_ecn_parents
+        return facts.core_treatment_cycle
     if verdict.kind is VerdictKind.COND_B:
         return facts.z1_required(frozenset())
     p = instantiate(facts.pa_y, facts.floor, 0) | instantiate(facts.pa_x, -q.gamma_max, 0)
@@ -476,18 +498,18 @@ def canonical_sets(g: SCG, q: MicroQuery) -> dict[str, AdjustmentSet]:
         "a2": set_a2(g, q),
     }
     if verdict.kind is VerdictKind.COND_A:
-        out["A.1-core"] = facts.core_scc_parents()
+        out["A.1-core"] = facts.core_scc_parents
         if not facts.cycles_x:
-            out["A.2-core"] = facts.core_ecn_parents()
+            out["A.2-core"] = facts.core_ecn_parents
         if q.gamma == 0:
             out["A.3-core"] = facts.z1_required(frozenset())
         if facts.cycles_x and q.gamma > 0:
-            out["A.4-core"] = facts.core_treatment_cycle()
+            out["A.4-core"] = facts.core_treatment_cycle
     elif verdict.kind is VerdictKind.COND_B:
-        out["B.1-core"] = facts.core_scc_parents()
+        out["B.1-core"] = facts.core_scc_parents
         out["B.2-core"] = facts.z1_required(frozenset())
     else:
-        base, all_x, all_y = facts.condition_c_parts()
+        base, all_x, all_y = facts.condition_c_parts
         out["C-core-x"] = base | all_x
         out["C-core-y"] = base | all_y
     return out
@@ -511,45 +533,64 @@ def ftdag_opt(tmpl: FTDagTemplate, q: MicroQuery) -> AdjustmentSet:
 class BackdoorTester:
     """Reusable classical back-door check against one template.
 
-    Builds the padded unrolling once; ``check`` then costs one descendant
-    lookup plus one run of the shared Bayes-ball ``graph.d_connected``.
-    Integer-indexed adjacency keeps that walk cheap inside corpus loops.
+    Builds int masks of the padded unrolling straight from the template's lag
+    entries, bit ``(offset - lo) * |nodes| + series index``, without an
+    ``UnrolledGraph``.  The treatment's outgoing edges are pruned from the
+    parent and child masks; its descendant mask keeps them.  ``check`` then
+    costs one descendant-mask test plus one run of the shared Bayes-ball
+    ``graph.d_connected``.
     """
 
     def __init__(self, tmpl: FTDagTemplate, q: MicroQuery, extra_padding: int = 0):
         self.q = q
-        self.graph = unroll(tmpl, *padded_window(tmpl.scg, q, extra_padding))
-        u = self.graph
-        self._index = {v: i for i, v in enumerate(u.nodes)}
-        n = len(u.nodes)
-        self._parents: list[list[int]] = [[] for _ in range(n)]
-        self._children: list[list[int]] = [[] for _ in range(n)]
-        x = self._index[q.treatment_var]
-        self._x = (x,)
-        self._y = {self._index[q.outcome_var]}
-        for (a, b) in u.edges:
-            ia, ib = self._index[a], self._index[b]
-            if ia != x:
-                # Outgoing edges of the treatment are pruned for the
-                # d-separation test; the descendant set keeps them.
-                self._parents[ib].append(ia)
-                self._children[ia].append(ib)
-        self._de_x = frozenset(self._index[v] for v in closure(u.children, [q.treatment_var]))
+        g = tmpl.scg
+        self.window = lo, hi = padded_window(g, q, extra_padding)
+        self._series = index = g._index
+        self._n = n = len(g.nodes)
+        slices = hi - lo + 1
+        self._x = x = self._mask([q.treatment_var])
+        self._y = self._mask([q.outcome_var])
+        xi = x.bit_length() - 1
+        self._parents = parents = [0] * (n * slices)
+        self._children = children = [0] * (n * slices)
+        x_children = 0
+        for (u, w), ls in tmpl.lag_entries:
+            iu, iw = index[u], index[w]
+            for lag in ls:
+                for k in range(slices - lag):
+                    src, dst = k * n + iu, (k + lag) * n + iw
+                    if src == xi:
+                        # Pruned for the d-separation test, kept for descendants.
+                        x_children |= 1 << dst
+                    else:
+                        parents[dst] |= 1 << src
+                        children[src] |= 1 << dst
+        de_x, todo = x, x_children
+        while todo:
+            low = todo & -todo
+            de_x |= low
+            todo = (todo | children[low.bit_length() - 1]) & ~de_x
+        self._de_x = de_x
 
-    def _z_indices(self, z: Iterable[TemporalVar]) -> set[int]:
-        try:
-            return {self._index[tv] for tv in z}
-        except KeyError as exc:
-            raise GraphError(f"temporal node {exc.args[0]} outside window {self.graph.window}") from None
+    def _mask(self, z: Iterable[TemporalVar]) -> int:
+        lo, hi = self.window
+        m = 0
+        for tv in z:
+            series, offset = tv
+            i = self._series.get(series)
+            if i is None or not lo <= offset <= hi:
+                raise GraphError(f"temporal node {tv} outside window {self.window}")
+            m |= 1 << ((offset - lo) * self._n + i)
+        return m
 
     def descendant_clash(self, z: Iterable[TemporalVar]) -> bool:
-        return bool(self._z_indices(z) & self._de_x)
+        return bool(self._mask(z) & self._de_x)
 
     def check(self, z: Iterable[TemporalVar]) -> bool:
-        zi = self._z_indices(z)
-        if zi & self._de_x:
+        zm = self._mask(z)
+        if zm & self._de_x:
             return False
-        return not d_connected(self._parents, self._children, self._x, self._y, zi)
+        return not d_connected(self._parents, self._children, self._x, self._y, zm)
 
 
 def classical_backdoor_check(

@@ -43,9 +43,7 @@ from .unroll import (
     densest_templates,
     enumerate_compatible_templates,
     instantiate,
-    padded_window,
     sort_temporal,
-    unroll,
 )
 
 ENV_TEMPLATE_CAP = "SCGADJUST_TEMPLATE_CAP"
@@ -312,9 +310,8 @@ def soundness_experiment(
             if verdict.kind is VerdictKind.NON_ANCESTOR:
                 # The canonical set here is empty; its classical counterpart is
                 # that no compatible template makes the treatment an ancestor.
-                ok = all(
-                    q.outcome_var
-                    not in unroll(t, *padded_window(g, q)).descendants_of([q.treatment_var])
+                ok = not any(
+                    BackdoorTester(t, q).descendant_clash([q.outcome_var])
                     for t in densest_templates(g, cfg.gamma_max)
                 )
                 n_checked, n_sound = 1, int(ok)

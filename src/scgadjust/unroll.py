@@ -370,12 +370,20 @@ def d_separated(
     z: Iterable[TemporalVar],
 ) -> bool:
     """Whether ``z`` blocks every path between ``a`` and ``b``: the arguments
-    are checked here, the walk is the shared Bayes-ball ``graph.d_connected``."""
+    are checked here and mapped to bits of ``u.nodes``, the walk is the shared
+    Bayes-ball ``graph.d_connected``."""
     a, b, z = frozenset(a), frozenset(b), frozenset(z)
     if a & b or a & z or b & z:
         raise ValueError("a, b, z must be pairwise disjoint")
     u.check_nodes(a | b | z)
-    return not d_connected(u.parents, u.children, a, b, z)
+    index = {v: i for i, v in enumerate(u.nodes)}
+
+    def mask(vs: Iterable[TemporalVar]) -> int:
+        return sum(1 << index[v] for v in vs)
+
+    parents = [mask(u.parents[v]) for v in u.nodes]
+    children = [mask(u.children[v]) for v in u.nodes]
+    return not d_connected(parents, children, mask(a), mask(b), mask(z))
 
 
 def d_separated_bruteforce(

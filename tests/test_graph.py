@@ -193,11 +193,11 @@ class TestKernel:
 
     def test_d_connected_collider(self):
         # 0 -> 2 <- 1, 2 -> 3: the collider opens once 2 or its descendant 3 is given.
-        parents = [[], [], [0, 1], [2]]
-        children = [[2], [2], [3], []]
-        assert not d_connected(parents, children, [0], {1}, set())
-        assert d_connected(parents, children, [0], {1}, {2})
-        assert d_connected(parents, children, [0], {1}, {3})
+        parents = [0, 0, 0b0011, 0b0100]
+        children = [0b0100, 0b0100, 0b1000, 0]
+        assert not d_connected(parents, children, 0b0001, 0b0010, 0)
+        assert d_connected(parents, children, 0b0001, 0b0010, 0b0100)
+        assert d_connected(parents, children, 0b0001, 0b0010, 0b1000)
 
 
 class TestSimplePaths:

@@ -34,7 +34,9 @@ from scgadjust import (
     set_a2,
     validate_scg,
 )
-from scgadjust.identify import query_facts
+from scgadjust.graph import closure
+from scgadjust.identify import BackdoorTester, query_facts
+from scgadjust.unroll import d_separated_bruteforce, instantiate, padded_window, unroll
 
 from .conftest import query, small_scgs, tv, zset
 
@@ -291,6 +293,118 @@ class TestClassicalBackdoor:
 
     def test_descendant_fails(self, persistence_template):
         assert not classical_backdoor_check(persistence_template, query(gamma=1), zset(("Y", 0)))
+
+
+def set_based_d_connected(parents, children, a, b, z) -> bool:
+    """Set-based Bayes-ball on ``adj[v]`` lookups that bounces up off every
+    collider in the ancestor closure of ``z``: the reference for the int-mask
+    ``graph.d_connected``, which bounces at the members of ``z`` only."""
+    opens = closure(parents, z)
+    seen_up: set = set()
+    seen_down: set = set()
+    stack = [(x, True) for x in a]
+    while stack:
+        v, up = stack.pop()
+        seen = seen_up if up else seen_down
+        if v in seen:
+            continue
+        seen.add(v)
+        if v in b:
+            return True
+        if up:
+            if v not in z:
+                stack.extend((p, True) for p in parents[v])
+                stack.extend((c, False) for c in children[v])
+        else:
+            if v not in z:
+                stack.extend((c, False) for c in children[v])
+            if v in opens:
+                stack.extend((p, True) for p in parents[v])
+    return False
+
+
+@st.composite
+def scg_templates(draw, min_nodes: int, max_nodes: int):
+    """A random SCG on N0, N1, ... with gamma_max 1 and one compatible
+    template: lag 0 only on edges that point forward in a drawn node order."""
+    n = draw(st.integers(min_value=min_nodes, max_value=max_nodes))
+    names = tuple(f"N{i}" for i in range(n))
+    edges = draw(st.frozensets(st.sampled_from([(u, w) for u in names for w in names])))
+    g = validate_scg(names, edges)
+    rank = {v: i for i, v in enumerate(draw(st.permutations(names)))}
+    lags = {}
+    for (u, w) in g.edge_list:
+        allowed = [0, 1] if rank[u] < rank[w] else [1]
+        lags[(u, w)] = draw(st.sets(st.sampled_from(allowed), min_size=1))
+    return make_template(g, 1, lags)
+
+
+class TestBitmaskTester:
+    """``BackdoorTester`` builds its masks from the lag entries; these tests
+    compare it with the classical check computed on the unrolled graph."""
+
+    @staticmethod
+    def draw_set(data, t, q) -> frozenset:
+        pool = sorted(instantiate(t.scg.nodes, q.window_floor, 0) - {q.treatment_var, q.outcome_var})
+        return data.draw(st.frozensets(st.sampled_from(pool), max_size=5))
+
+    @given(scg_templates(2, 2), st.integers(min_value=0, max_value=1), st.data())
+    @settings(max_examples=60)
+    def test_matches_path_enumeration_on_two_series(self, t, gamma, data):
+        q = MicroQuery("N0", "N1", gamma, 1)
+        z = self.draw_set(data, t, q)
+        x, y = q.treatment_var, q.outcome_var
+        for pad in (0, q.gamma_max + 1):
+            u = unroll(t, *padded_window(t.scg, q, pad))
+            expected = not (z & u.descendants_of([x])) and d_separated_bruteforce(
+                u.without_outgoing(x), [x], [y], z
+            )
+            assert BackdoorTester(t, q, pad).check(z) == expected
+
+    @given(scg_templates(3, 5), st.integers(min_value=0, max_value=1), st.data())
+    @settings(max_examples=80)
+    def test_matches_set_based_walk(self, t, gamma, data):
+        q = MicroQuery("N0", "N1", gamma, 1)
+        z = self.draw_set(data, t, q)
+        x, y = q.treatment_var, q.outcome_var
+        for pad in (0, q.gamma_max + 1):
+            u = unroll(t, *padded_window(t.scg, q, pad))
+            pruned = u.without_outgoing(x)
+            clash = bool(z & u.descendants_of([x]))
+            expected = not clash and not set_based_d_connected(pruned.parents, pruned.children, [x], {y}, z)
+            tester = BackdoorTester(t, q, pad)
+            assert tester.descendant_clash(z) == clash
+            assert tester.check(z) == expected
+
+
+class TestErrorContract:
+    """Which error a malformed set raises, and that it wins over a malformed query."""
+
+    def test_checker_window_error(self, persistence_chain):
+        with pytest.raises(WindowError, match=r"W@1 outside adjustment window \[-2, 0\]"):
+            scg_backdoor_check(persistence_chain, query(gamma=1), zset(("X", -2), ("W", 1)))
+
+    def test_checker_unknown_series(self, persistence_chain):
+        with pytest.raises(GraphError, match="unknown node 'Q'"):
+            scg_backdoor_check(persistence_chain, query(gamma=1), zset(("Q", -1)))
+
+    def test_bad_set_reported_before_query_facts(self, persistence_chain):
+        # The outcome is not a node: building the query's facts would raise a
+        # GraphError, but the out-of-window set is reported first.
+        query_facts.cache_clear()
+        with pytest.raises(WindowError, match="outside adjustment window"):
+            scg_backdoor_check(persistence_chain, query(outcome="NOPE", gamma=1), zset(("W", -3)))
+        assert query_facts.cache_info().misses == 0
+
+    def test_tester_rejects_variables_outside_padded_window(self, persistence_template):
+        q = query(gamma=1)
+        lo, hi = padded_window(persistence_template.scg, q)
+        tester = BackdoorTester(persistence_template, q)
+        for bad in (zset(("W", lo - 1)), zset(("W", hi + 1)), zset(("X", -2), ("Q", -1))):
+            with pytest.raises(GraphError, match="outside window"):
+                tester.check(bad)
+            with pytest.raises(GraphError, match="outside window"):
+                tester.descendant_clash(bad)
 
 
 class TestQoptWitness:
