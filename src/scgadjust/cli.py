@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 2 effect not identifiable, 3 candidate set rejected,
 4 input error, 5 template cap exceeded; the soundness command exits 1 when
-counterexamples are found.  Given identical inputs and seeds every command
-writes identical bytes.
+counterexamples are found or a consistency check disagrees.  Given identical
+inputs and seeds every command writes identical bytes.
 """
 
 from __future__ import annotations
@@ -176,10 +176,12 @@ def cmd_validate(args) -> int:
     report = soundness_experiment(_corpus_config(args))
     text = report.to_csv() if args.format == "csv" else report.to_json()
     _emit(text, args.out)
+    if report.condition_c_form_mismatches:
+        print(f"{report.condition_c_form_mismatches} condition-C form mismatches", file=sys.stderr)
     if report.padding_instabilities:
         print(f"{report.padding_instabilities} unstable blocking verdicts", file=sys.stderr)
-        return 1
-    return EXIT_OK if report.sound else 1
+    consistent = not report.condition_c_form_mismatches and not report.padding_instabilities
+    return EXIT_OK if report.sound and consistent else 1
 
 
 def cmd_probe(args) -> int:

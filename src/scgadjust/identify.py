@@ -24,12 +24,14 @@ from typing import Iterable
 from .graph import (
     SCG,
     GraphError,
+    SccPartition,
     ancestors,
     closure,
     cycle_profile,
     d_connected,
     descendants,
     scc_of,
+    scc_partition,
     simple_directed_paths,
 )
 from .unroll import (
@@ -116,7 +118,6 @@ def identify(g: SCG, q: MicroQuery, condition_c_form: str = "cycles") -> Verdict
     )
 
 
-@lru_cache(maxsize=4096)
 def causal_nodes(g: SCG, x: str, y: str) -> frozenset[str]:
     """Nodes lying on some simple directed path from ``x`` to ``y``, minus ``x``."""
     out: set[str] = set()
@@ -126,16 +127,17 @@ def causal_nodes(g: SCG, x: str, y: str) -> frozenset[str]:
     return frozenset(out)
 
 
-@lru_cache(maxsize=4096)
+def _close_under_components(part: SccPartition, nodes: Iterable[str]) -> frozenset[str]:
+    """``nodes`` together with every member of their strongly connected components."""
+    comps = part.components
+    return frozenset(v for i in {part.component_of[u] for u in nodes} for v in comps[i])
+
+
 def extended_causal_nodes(g: SCG, x: str, y: str) -> frozenset[str]:
     """Causal nodes closed under strongly connected components."""
-    out: set[str] = set()
-    for v in causal_nodes(g, x, y):
-        out |= scc_of(g, v)
-    return frozenset(out)
+    return _close_under_components(scc_partition(g), causal_nodes(g, x, y))
 
 
-@lru_cache(maxsize=4096)
 def _backdoor_path_data(g: SCG, x: str, y: str) -> tuple[tuple[frozenset[str], frozenset[str]], ...]:
     """(nodes, colliders) for every simple back-door path from x to y.
 
@@ -187,11 +189,11 @@ def _backdoor_path_data(g: SCG, x: str, y: str) -> tuple[tuple[frozenset[str], f
     return tuple(sorted(found, key=lambda nc: (sorted(nc[0]), sorted(nc[1]))))
 
 
-@lru_cache(maxsize=8192)
-def _ecnbd_by_series(g: SCG, x: str, y: str, series: frozenset[str]) -> frozenset[str]:
-    ecn = extended_causal_nodes(g, x, y)
+def _open_backdoor_ecn(ecn: frozenset[str], paths, series: frozenset[str]) -> frozenset[str]:
+    """Members of ``ecn`` on the back-door ``paths`` (as ``_backdoor_path_data``
+    gives them) whose colliders all lie in ``series``."""
     out: set[str] = set()
-    for nodes, colliders in _backdoor_path_data(g, x, y):
+    for nodes, colliders in paths:
         if colliders <= series:
             out |= nodes & ecn
     return frozenset(out)
@@ -202,7 +204,8 @@ def backdoor_restricted_ecn(g: SCG, x: str, y: str, z2: Iterable[TemporalVar]) -
     whose colliders all have a temporal instance in ``z2``."""
     series = frozenset(tv.series for tv in z2)
     g.check_nodes(series)
-    return _ecnbd_by_series(g, x, y, series)
+    ecn = extended_causal_nodes(g, x, y)
+    return _open_backdoor_ecn(ecn, _backdoor_path_data(g, x, y), series)
 
 
 @dataclass(frozen=True)
@@ -237,9 +240,13 @@ PARTITION_CYCLE_CAVEAT = (
 
 
 class _QueryFacts:
-    """Per-(graph, query) precomputation shared by the checker and set builders.
+    """Everything the macro layer derives from one (graph, query) pair.
 
-    The per-query cores are computed on first use and then reused.
+    ``query_facts`` keeps one instance per pair and is the only per-query
+    cache.  The verdict and the possible descendants are computed up front;
+    the rest on first use, so a query that is not identifiable or has a
+    non-ancestor treatment, or a set rejected on the descendant clash,
+    never enumerates a simple path.
     """
 
     def __init__(self, g: SCG, q: MicroQuery):
@@ -248,13 +255,23 @@ class _QueryFacts:
         self.verdict = identify(g, q)
         self.floor = q.window_floor
         self.d = possible_descendants(g, q.treatment, -q.gamma, (self.floor, 0), q.gamma_max)
-        x, y = q.treatment, q.outcome
-        self.scc_x = scc_of(g, x)
-        self.cycles_x = cycle_profile(g, x).on_any_cycle
-        self.cn = causal_nodes(g, x, y)
-        self.ecn = extended_causal_nodes(g, x, y)
-        self.pa_x = g.parents(x)
-        self.pa_y = g.parents(y)
+        self._z1: dict[frozenset[str], AdjustmentSet] = {}
+
+    @cached_property
+    def scc(self) -> SccPartition:
+        return scc_partition(self.g)
+
+    @cached_property
+    def cn(self) -> frozenset[str]:
+        return causal_nodes(self.g, self.q.treatment, self.q.outcome)
+
+    @cached_property
+    def ecn(self) -> frozenset[str]:
+        return _close_under_components(self.scc, self.cn)
+
+    @cached_property
+    def backdoor_paths(self) -> tuple[tuple[frozenset[str], frozenset[str]], ...]:
+        return _backdoor_path_data(self.g, self.q.treatment, self.q.outcome)
 
     @cached_property
     def descendant_labels(self) -> tuple[dict[TemporalVar, int], dict[TemporalVar, str]]:
@@ -264,28 +281,45 @@ class _QueryFacts:
         return {tv: i for i, tv in enumerate(order)}, {tv: tv.label() for tv in order}
 
     @cached_property
-    def core_scc_parents(self) -> AdjustmentSet:
-        p = instantiate(self.g.parents_of_set(self.scc_x), self.floor, -self.q.gamma)
-        return p - self.d
-
-    @cached_property
-    def core_ecn_parents(self) -> AdjustmentSet:
-        p = instantiate(self.g.parents_of_set(self.ecn), self.floor, 0)
-        return p - self.d
-
-    @cached_property
-    def core_treatment_cycle(self) -> AdjustmentSet:
-        p = instantiate(self.pa_x, self.floor + 1, 0) | instantiate(
-            self.g.parents_of_set(self.ecn), self.floor, 0
-        )
-        return p - self.d
+    def cores(self) -> dict[str, AdjustmentSet]:
+        """The mandated core of every criterion item that applies to the
+        verdict, in document order, keyed by the names ``canonical_sets``
+        emits.  Which items apply is decided here and nowhere else; the last
+        core is the most specific item's, the quasi-optimal set."""
+        g, q, floor, d = self.g, self.q, self.floor, self.d
+        kind = self.verdict.kind
+        if kind is VerdictKind.COND_C:
+            base, all_x, all_y = self.condition_c_parts
+            return {"C-core-x": base | all_x, "C-core-y": base | all_y}
+        if kind not in (VerdictKind.COND_A, VerdictKind.COND_B):
+            return {}
+        scc_x = _close_under_components(self.scc, [q.treatment])
+        scc_core = instantiate(g.parents_of_set(scc_x), floor, -q.gamma) - d
+        if kind is VerdictKind.COND_B:
+            return {"B.1-core": scc_core, "B.2-core": self.z1_required(frozenset())}
+        cycles_x = len(scc_x) > 1 or g.has_self_loop(q.treatment)
+        ecn_parents = instantiate(g.parents_of_set(self.ecn), floor, 0)
+        out = {"A.1-core": scc_core}
+        if not cycles_x:
+            out["A.2-core"] = ecn_parents - d
+        if q.gamma == 0:
+            out["A.3-core"] = self.z1_required(frozenset())
+        if cycles_x and q.gamma > 0:
+            pa_x = instantiate(g.parents(q.treatment), floor + 1, 0)
+            out["A.4-core"] = (pa_x | ecn_parents) - d
+        return out
 
     def z1_required(self, opened_series: frozenset[str]) -> AdjustmentSet:
-        ecnbd = _ecnbd_by_series(self.g, self.q.treatment, self.q.outcome, opened_series)
-        p = instantiate(self.g.parents_of_set(self.cn), self.floor, 0) | instantiate(
-            self.g.parents_of_set(ecnbd), self.floor, 0
-        )
-        return p - self.d
+        """The mandated part Z1 when the free part opens the colliders of
+        ``opened_series``: parents of the causal nodes and of the extended
+        causal nodes on the back-door paths it opens, less the possible
+        descendants.  Memoised per series set."""
+        z1 = self._z1.get(opened_series)
+        if z1 is None:
+            ecnbd = _open_backdoor_ecn(self.ecn, self.backdoor_paths, opened_series)
+            z1 = instantiate(self.g.parents_of_set(self.cn | ecnbd), self.floor, 0) - self.d
+            self._z1[opened_series] = z1
+        return z1
 
     def partition_witness(self, z: AdjustmentSet) -> AdjustmentSet | None:
         """Search for Z = Z1 (+) Z2 with Z1 mandated by the colliders Z2 opens.
@@ -312,12 +346,12 @@ class _QueryFacts:
 
     @cached_property
     def condition_c_parts(self) -> tuple[AdjustmentSet, AdjustmentSet, AdjustmentSet]:
+        pa_x, pa_y = self.g.parents(self.q.treatment), self.g.parents(self.q.outcome)
         base = (
-            instantiate(self.pa_x, -self.q.gamma_max, 0)
-            | instantiate(self.pa_y, -self.q.gamma_max, 0)
+            instantiate(pa_x, -self.q.gamma_max, 0) | instantiate(pa_y, -self.q.gamma_max, 0)
         ) - self.d
-        all_x = instantiate(self.pa_x, self.floor, self.floor)
-        all_y = instantiate(self.pa_y, self.floor, self.floor)
+        all_x = instantiate(pa_x, self.floor, self.floor)
+        all_y = instantiate(pa_y, self.floor, self.floor)
         return base, all_x, all_y
 
 
@@ -339,6 +373,21 @@ def _check_z_shape(g: SCG, q: MicroQuery, z: AdjustmentSet) -> None:
             raise WindowError(
                 f"{tv.label()} outside adjustment window [{q.window_floor}, 0]"
             )
+
+
+# The items of conditions A and B in document order.  An item the query has
+# no core for is reported with its reason below; the partition items accept
+# through a mandated/free partition of the set rather than through their core.
+_AB_ITEMS = {
+    VerdictKind.COND_A: ("A", ("A.1", "A.2", "A.3", "A.4")),
+    VerdictKind.COND_B: ("B", ("B.1", "B.2")),
+}
+_INAPPLICABLE = {
+    "A.2": "treatment lies on a cycle",
+    "A.3": "requires gamma = 0",
+    "A.4": "requires a cycle on the treatment and gamma > 0",
+}
+_PARTITION_ITEMS = ("A.3", "B.2")
 
 
 def scg_backdoor_check(g: SCG, q: MicroQuery, z: Iterable[TemporalVar]) -> CriterionReport:
@@ -376,49 +425,23 @@ def scg_backdoor_check(g: SCG, q: MicroQuery, z: Iterable[TemporalVar]) -> Crite
         gap = sort_temporal(g, core - z)
         return ", ".join(tv.label() for tv in gap)
 
-    if verdict.kind is VerdictKind.COND_A:
-        core = facts.core_scc_parents
-        if core <= z:
-            return CriterionReport(True, "A", "A.1", core)
-        violations.append(f"A.1: missing {missing(core)}")
-
-        if not facts.cycles_x:
-            core = facts.core_ecn_parents
-            if core <= z:
-                return CriterionReport(True, "A", "A.2", core)
-            violations.append(f"A.2: missing {missing(core)}")
-        else:
-            violations.append("A.2: treatment lies on a cycle")
-
-        if q.gamma == 0:
-            z1 = facts.partition_witness(z)
-            if z1 is not None:
-                return CriterionReport(True, "A", "A.3", z1, caveats=facts.partition_caveats())
-            violations.append("A.3: no mandated/free partition of the set exists")
-        else:
-            violations.append("A.3: requires gamma = 0")
-
-        if facts.cycles_x and q.gamma > 0:
-            core = facts.core_treatment_cycle
-            if core <= z:
-                return CriterionReport(True, "A", "A.4", core)
-            violations.append(f"A.4: missing {missing(core)}")
-        else:
-            violations.append("A.4: requires a cycle on the treatment and gamma > 0")
-
-        return CriterionReport(False, "A", None, EMPTY, tuple(violations))
-
-    if verdict.kind is VerdictKind.COND_B:
-        core = facts.core_scc_parents
-        if core <= z:
-            return CriterionReport(True, "B", "B.1", core)
-        violations.append(f"B.1: missing {missing(core)}")
-
-        z1 = facts.partition_witness(z)
-        if z1 is not None:
-            return CriterionReport(True, "B", "B.2", z1, caveats=facts.partition_caveats())
-        violations.append("B.2: no mandated/free partition of the set exists")
-        return CriterionReport(False, "B", None, EMPTY, tuple(violations))
+    if verdict.kind in _AB_ITEMS:
+        condition, items = _AB_ITEMS[verdict.kind]
+        for item in items:
+            core = facts.cores.get(f"{item}-core")
+            if core is None:
+                violations.append(f"{item}: {_INAPPLICABLE[item]}")
+            elif item in _PARTITION_ITEMS:
+                z1 = facts.partition_witness(z)
+                if z1 is not None:
+                    caveats = facts.partition_caveats()
+                    return CriterionReport(True, condition, item, z1, caveats=caveats)
+                violations.append(f"{item}: no mandated/free partition of the set exists")
+            elif core <= z:
+                return CriterionReport(True, condition, item, core)
+            else:
+                violations.append(f"{item}: missing {missing(core)}")
+        return CriterionReport(False, condition, None, EMPTY, tuple(violations))
 
     base, all_x, all_y = facts.condition_c_parts
     if base <= z:
@@ -458,61 +481,31 @@ def set_a2(g: SCG, q: MicroQuery) -> AdjustmentSet:
     )
 
 
-def _require_identifiable(g: SCG, q: MicroQuery, allow_non_ancestor: bool = False) -> Verdict:
-    verdict = identify(g, q)
-    if verdict.kind is VerdictKind.NOT_IDENTIFIABLE:
+def _require_identifiable(g: SCG, q: MicroQuery, allow_non_ancestor: bool = False) -> _QueryFacts:
+    facts = query_facts(g, q)
+    if facts.verdict.kind is VerdictKind.NOT_IDENTIFIABLE:
         raise NotIdentifiableError("micro effect is not identifiable by adjustment")
-    if verdict.kind is VerdictKind.NON_ANCESTOR and not allow_non_ancestor:
+    if facts.verdict.kind is VerdictKind.NON_ANCESTOR and not allow_non_ancestor:
         raise NotIdentifiableError(
             "treatment is not an ancestor of the outcome; no adjustment set is defined"
         )
-    return verdict
+    return facts
 
 
 def qopt(g: SCG, q: MicroQuery) -> AdjustmentSet:
-    """Quasi-optimal adjustment set, case-split on the verdict's condition."""
-    verdict = _require_identifiable(g, q)
-    facts = query_facts(g, q)
-    if verdict.kind is VerdictKind.COND_A:
-        if q.gamma == 0:
-            return facts.z1_required(frozenset())
-        if not facts.cycles_x:
-            return facts.core_ecn_parents
-        return facts.core_treatment_cycle
-    if verdict.kind is VerdictKind.COND_B:
-        return facts.z1_required(frozenset())
-    p = instantiate(facts.pa_y, facts.floor, 0) | instantiate(facts.pa_x, -q.gamma_max, 0)
-    return p - facts.d
+    """Quasi-optimal adjustment set: the core of the most specific criterion
+    item that applies to the verdict, the last of the query's cores."""
+    cores = _require_identifiable(g, q).cores
+    return next(reversed(cores.values()))
 
 
 def canonical_sets(g: SCG, q: MicroQuery) -> dict[str, AdjustmentSet]:
     """The named sets for this query: qopt, the two baselines, and the mandated
     core of every criterion item applicable to the verdict."""
-    verdict = _require_identifiable(g, q, allow_non_ancestor=True)
-    if verdict.kind is VerdictKind.NON_ANCESTOR:
+    facts = _require_identifiable(g, q, allow_non_ancestor=True)
+    if facts.verdict.kind is VerdictKind.NON_ANCESTOR:
         return {"empty": EMPTY}
-    facts = query_facts(g, q)
-    out: dict[str, AdjustmentSet] = {
-        "qopt": qopt(g, q),
-        "a1": set_a1(g, q),
-        "a2": set_a2(g, q),
-    }
-    if verdict.kind is VerdictKind.COND_A:
-        out["A.1-core"] = facts.core_scc_parents
-        if not facts.cycles_x:
-            out["A.2-core"] = facts.core_ecn_parents
-        if q.gamma == 0:
-            out["A.3-core"] = facts.z1_required(frozenset())
-        if facts.cycles_x and q.gamma > 0:
-            out["A.4-core"] = facts.core_treatment_cycle
-    elif verdict.kind is VerdictKind.COND_B:
-        out["B.1-core"] = facts.core_scc_parents
-        out["B.2-core"] = facts.z1_required(frozenset())
-    else:
-        base, all_x, all_y = facts.condition_c_parts
-        out["C-core-x"] = base | all_x
-        out["C-core-y"] = base | all_y
-    return out
+    return {"qopt": qopt(g, q), "a1": set_a1(g, q), "a2": set_a2(g, q), **facts.cores}
 
 
 def ftdag_opt(tmpl: FTDagTemplate, q: MicroQuery) -> AdjustmentSet:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import pytest
 
 import scgadjust
 from scgadjust.cli import run
+from scgadjust.oracle import soundness_experiment
 
 
 @pytest.fixture()
@@ -163,6 +165,16 @@ class TestValidate:
                     "--format", "csv"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("index,")
+
+    def test_condition_c_form_mismatch_exit_1(self, monkeypatch, capsys):
+        def mismatched(cfg):
+            return dataclasses.replace(soundness_experiment(cfg), condition_c_form_mismatches=2)
+
+        monkeypatch.setattr("scgadjust.cli.soundness_experiment", mismatched)
+        assert run(["validate", "--n-graphs", "3", "--seed", "7", "--max-subset-size", "2"]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["counterexamples"] == []
+        assert captured.err == "2 condition-C form mismatches\n"
 
 
 class TestProbe:

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 import sys
 from pathlib import Path
@@ -34,7 +36,7 @@ from scgadjust import (
     set_a2,
     validate_scg,
 )
-from scgadjust.graph import closure
+from scgadjust.graph import closure, cycle_profile, scc_of
 from scgadjust.identify import BackdoorTester, query_facts
 from scgadjust.unroll import d_separated_bruteforce, instantiate, padded_window, unroll
 
@@ -582,3 +584,211 @@ class TestSoundnessProperties:
             except QueryError:
                 continue
             assert (opt - posdesc) <= quasi
+
+
+def _outcome(fn):
+    """``fn()``, or the type of the ValueError it raises (the message may name
+    any one of several offending variables)."""
+    try:
+        return fn()
+    except ValueError as exc:
+        return type(exc).__name__
+
+
+class TestPinnedMacroBytes:
+    """Verdict, canonical sets, qopt and the checker's report for a fixed list
+    of sets, over every ordered node pair of every sample graph (and of the
+    condition-B trio and the collider chain, which no sample graph covers)
+    at gamma 0 and 1, reduced to one SHA-256.  Refactors of the macro layer
+    must not move a single byte."""
+
+    DIGEST = "d00cf46a80a1fb43b9c9fb1cf6b4702cc66812a77973a32c509fc5d11baa42bf"
+
+    @staticmethod
+    def fixed_sets(g, q, named):
+        floor = q.window_floor
+        window = sorted(instantiate(g.nodes, floor, 0))
+        d = possible_descendants(g, q.treatment, -q.gamma, (floor, 0), q.gamma_max)
+        free = sorted(set(window) - d)
+        rng = random.Random(f"pinned:{','.join(g.nodes)}:{q.to_json()}")
+        sets = [frozenset(), frozenset(window), frozenset(free)]
+        sets += [instantiate(g.nodes, o, o) for o in range(floor, 1)]
+        sets += [frozenset(rng.sample(window, k)) for k in (1, 2, 3, 4) for _ in range(2)]
+        sets += [frozenset(rng.sample(free, min(k, len(free)))) for k in (1, 2, 3) for _ in range(2)]
+        for name in sorted(named):
+            z = named[name]
+            sets += [z, z | frozenset(rng.sample(free, min(2, len(free))))]
+        return sets
+
+    def records(self, graphs):
+        for name, g in graphs:
+            for x in g.nodes:
+                for y in g.nodes:
+                    if x == y:
+                        continue
+                    for gamma in (0, 1):
+                        q = MicroQuery(x, y, gamma, 1)
+                        verdict = identify(g, q)
+                        named = canonical_sets(g, q) if verdict.identifiable else {}
+                        yield {
+                            "graph": name,
+                            "query": [x, y, gamma],
+                            "verdict": [verdict.kind.value, verdict.witness_dict()],
+                            "sets": _outcome(
+                                lambda: {
+                                    k: adjustment_set_to_obj(g, z) for k, z in canonical_sets(g, q).items()
+                                }
+                            ),
+                            "qopt": _outcome(lambda: adjustment_set_to_obj(g, qopt(g, q))),
+                            "checks": [
+                                _outcome(lambda: scg_backdoor_check(g, q, z).to_obj(g))
+                                for z in self.fixed_sets(g, q, named)
+                            ],
+                        }
+
+    def test_digest(self, condition_b_trio, collider_chain):
+        paths = sorted(GRAPHS_DIR.glob("*.json"))
+        graphs = [(p.stem, scg_from_json(p.read_text(encoding="utf-8"))) for p in paths]
+        graphs += [(f"condition_b_{i}", g) for i, g in enumerate(condition_b_trio)]
+        graphs.append(("collider_chain", collider_chain))
+        text = json.dumps(list(self.records(graphs)), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGEST
+
+
+def _reference_sets(g, q):
+    """``canonical_sets`` and ``qopt`` written as one case split on the verdict,
+    from public pieces only; ``qopt`` is None where it raises."""
+    verdict = identify(g, q)
+    if verdict.kind is VerdictKind.NOT_IDENTIFIABLE:
+        return None, None
+    if verdict.kind is VerdictKind.NON_ANCESTOR:
+        return {"empty": frozenset()}, None
+    x, y, floor = q.treatment, q.outcome, q.window_floor
+    d = possible_descendants(g, x, -q.gamma, (floor, 0), q.gamma_max)
+    pa_x, pa_y = g.parents(x), g.parents(y)
+    cycles_x = cycle_profile(g, x).on_any_cycle
+    ecn = extended_causal_nodes(g, x, y)
+    scc_core = instantiate(g.parents_of_set(scc_of(g, x)), floor, -q.gamma) - d
+    ecn_core = instantiate(g.parents_of_set(ecn), floor, 0) - d
+    cycle_core = (instantiate(pa_x, floor + 1, 0) | instantiate(g.parents_of_set(ecn), floor, 0)) - d
+    z1 = (
+        instantiate(g.parents_of_set(causal_nodes(g, x, y)), floor, 0)
+        | instantiate(g.parents_of_set(backdoor_restricted_ecn(g, x, y, [])), floor, 0)
+    ) - d
+    out = {"a1": set_a1(g, q), "a2": set_a2(g, q)}
+    if verdict.kind is VerdictKind.COND_A:
+        if q.gamma == 0:
+            best = z1
+        elif not cycles_x:
+            best = ecn_core
+        else:
+            best = cycle_core
+        out["A.1-core"] = scc_core
+        if not cycles_x:
+            out["A.2-core"] = ecn_core
+        if q.gamma == 0:
+            out["A.3-core"] = z1
+        if cycles_x and q.gamma > 0:
+            out["A.4-core"] = cycle_core
+    elif verdict.kind is VerdictKind.COND_B:
+        best = z1
+        out["B.1-core"] = scc_core
+        out["B.2-core"] = z1
+    else:
+        best = (instantiate(pa_y, floor, 0) | instantiate(pa_x, -q.gamma_max, 0)) - d
+        base = (instantiate(pa_x, -q.gamma_max, 0) | instantiate(pa_y, -q.gamma_max, 0)) - d
+        out["C-core-x"] = base | instantiate(pa_x, floor, floor)
+        out["C-core-y"] = base | instantiate(pa_y, floor, floor)
+    return {"qopt": best, **out}, best
+
+
+class TestCanonicalSetsOracle:
+    @given(
+        small_scgs(max_nodes=5),
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=1, max_value=2),
+        st.data(),
+    )
+    @settings(max_examples=150)
+    def test_matches_case_split(self, g, gamma, gamma_max, data):
+        x, y = data.draw(st.permutations(g.nodes))[:2]
+        q = MicroQuery(x, y, gamma, gamma_max)
+        named, best = _reference_sets(g, q)
+        if named is None:
+            with pytest.raises(NotIdentifiableError):
+                canonical_sets(g, q)
+        else:
+            assert list(canonical_sets(g, q).items()) == list(named.items())
+        if best is None:
+            with pytest.raises(NotIdentifiableError):
+                qopt(g, q)
+        else:
+            assert qopt(g, q) == best
+
+
+class TestLazyFacts:
+    """A NotIdentifiable or NonAncestor query, or a set rejected on the
+    possible-descendant clash, is answered without enumerating a simple path."""
+
+    ENUMERATORS = ("simple_directed_paths", "_backdoor_path_data")
+
+    @pytest.fixture(autouse=True)
+    def forbid_path_enumeration(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a simple path was enumerated")
+
+        for name, mod in list(sys.modules.items()):
+            if name == "scgadjust" or name.startswith("scgadjust."):
+                for attr in self.ENUMERATORS:
+                    if hasattr(mod, attr):
+                        monkeypatch.setattr(mod, attr, forbidden)
+        self.clear_caches()
+        yield
+        self.clear_caches()
+
+    @staticmethod
+    def clear_caches():
+        for value in vars(sys.modules["scgadjust.identify"]).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+    def test_not_identifiable(self):
+        g = validate_scg(["X", "Y"], [("X", "Y"), ("Y", "X"), ("Y", "Y")])
+        q = query(gamma=1)
+        assert identify(g, q).kind is VerdictKind.NOT_IDENTIFIABLE
+        assert not scg_backdoor_check(g, q, zset(("X", -2))).satisfied
+        with pytest.raises(NotIdentifiableError):
+            canonical_sets(g, q)
+        with pytest.raises(NotIdentifiableError):
+            qopt(g, q)
+
+    def test_non_ancestor(self):
+        g = validate_scg(["X", "Y", "W"], [("Y", "X"), ("W", "X"), ("W", "Y")])
+        q = query(gamma=1)
+        assert identify(g, q).kind is VerdictKind.NON_ANCESTOR
+        assert scg_backdoor_check(g, q, zset(("W", -1))).satisfied
+        assert canonical_sets(g, q) == {"empty": frozenset()}
+        with pytest.raises(NotIdentifiableError):
+            qopt(g, q)
+
+    @pytest.mark.parametrize("path", sorted(GRAPHS_DIR.glob("*.json")), ids=lambda p: p.stem)
+    def test_sample_graphs(self, path):
+        # Every non-identifiable or non-ancestor query, and the outcome
+        # variable itself (a possible descendant) as the set of every other.
+        g = scg_from_json(path.read_text(encoding="utf-8"))
+        for x in g.nodes:
+            for y in g.nodes:
+                if x == y:
+                    continue
+                for gamma in (0, 1):
+                    q = MicroQuery(x, y, gamma, 1)
+                    kind = identify(g, q).kind
+                    if kind is VerdictKind.NON_ANCESTOR:
+                        assert canonical_sets(g, q) == {"empty": frozenset()}
+                    elif kind is VerdictKind.NOT_IDENTIFIABLE:
+                        with pytest.raises(NotIdentifiableError):
+                            canonical_sets(g, q)
+                        assert not scg_backdoor_check(g, q, frozenset()).satisfied
+                    else:
+                        report = scg_backdoor_check(g, q, zset((y, 0)))
+                        assert report.violations[0].startswith("possible descendant of treatment in set")
