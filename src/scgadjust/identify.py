@@ -367,7 +367,10 @@ def query_facts(g: SCG, q: MicroQuery) -> _QueryFacts:
 
 
 def _check_z_shape(g: SCG, q: MicroQuery, z: AdjustmentSet) -> None:
-    for tv in z:
+    # Most recent offset first, ties by name: with several bad variables the
+    # one reported must not depend on the hash seed, and ``sort_temporal``
+    # would raise on an unknown series before reaching the window check.
+    for tv in sorted(z, key=lambda tv: (-tv.offset, tv.series)):
         g.index(tv.series)
         if not (q.window_floor <= tv.offset <= 0):
             raise WindowError(

@@ -6,6 +6,13 @@ with Gaussian noise.  The treatment coefficient of an ordinary least squares
 regression of the outcome on (treatment, adjustment set) estimates the micro
 effect; the experiment harness compares empirical estimator variances across
 adjustment sets.
+
+The recursion steps in a time-major array, where each (time, series) cell is
+one contiguous vector over the replicates; the returned values are a
+replicate-major view of it with the same bytes as a replicate-by-replicate
+simulation.  Each regression is one Householder QR of the augmented design,
+and the experiment estimates each distinct set once per dataset, however many
+names refer to it.
 """
 
 from __future__ import annotations
@@ -138,7 +145,14 @@ def sample_linear_model(
 def generate(
     model: LinearDTDSCM, n_replicates: int, horizon: int, burn_in: int, seed: int
 ) -> Dataset:
-    """Simulate replicates independently and drop the burn-in slices."""
+    """Simulate replicates independently and drop the burn-in slices.
+
+    The noise is drawn replicate-major, then scaled and copied in one pass
+    into a time-major array, so that each (time, series) cell is one
+    contiguous vector over the replicates.  The recursion steps there, one
+    ``dst += c * src`` per coefficient in lag-0 topological order, through a
+    reused buffer; the result is a ``(replicates, horizon, series)`` view.
+    """
     if horizon < 1 or burn_in < 0 or n_replicates < 1:
         raise ValueError("need horizon >= 1, burn_in >= 0, n_replicates >= 1")
     g = model.template.scg
@@ -146,23 +160,24 @@ def generate(
     idx = {v: i for i, v in enumerate(g.nodes)}
     total = burn_in + horizon
 
-    order = model.template.zero_lag_order()
     by_target: dict[str, list[tuple[int, int, float]]] = {v: [] for v in g.nodes}
     for ((u, w), lag), c in model.coeff_entries:
         by_target[w].append((idx[u], lag, c))
+    steps = [(idx[w], *entry) for w in model.template.zero_lag_order() for entry in by_target[w]]
 
     sds = np.array([model.noise_sd[v] for v in g.nodes])
     rng = np.random.default_rng(np.random.SeedSequence([13, seed]))
-    values = rng.normal(size=(n_replicates, total, d)) * sds
+    noise = rng.normal(size=(n_replicates, total, d))
+    values = np.empty((total, d, n_replicates))
+    np.multiply(noise.transpose(1, 2, 0), sds[:, None], out=values)
+    del noise
+    buf = np.empty(n_replicates)
     for t in range(total):
-        for w in order:
-            col = idx[w]
-            for (src, lag, c) in by_target[w]:
-                if lag == 0:
-                    values[:, t, col] += c * values[:, t, src]
-                elif t - lag >= 0:
-                    values[:, t, col] += c * values[:, t - lag, src]
-    return Dataset(g.nodes, values[:, burn_in:, :])
+        for col, src, lag, c in steps:
+            if t >= lag:
+                np.multiply(values[t - lag, src], c, out=buf)
+                values[t, col] += buf
+    return Dataset(g.nodes, values[burn_in:].transpose(2, 0, 1))
 
 
 def true_effect(model: LinearDTDSCM, q: MicroQuery) -> float:
@@ -188,7 +203,13 @@ def true_effect(model: LinearDTDSCM, q: MicroQuery) -> float:
 
 def ols_effect(data: Dataset, q: MicroQuery, z: AdjustmentSet) -> EffectEstimate:
     """Treatment coefficient of OLS(outcome ~ treatment + z), pooled over
-    replicates and every anchor time with a full covariate window."""
+    replicates and every anchor time with a full covariate window.
+
+    One Householder QR of the augmented design ``[1, x, Z, y]`` gives
+    everything: the rank from the singular values of the design's R block
+    (``matrix_rank``'s tolerance), the coefficients by back-substitution, the
+    residual sum of squares as the last diagonal entry squared, and the
+    standard error from the treatment's row of the inverse R block."""
     series_index = {v: i for i, v in enumerate(data.series)}
     for name in (q.treatment, q.outcome):
         if name not in series_index:
@@ -203,25 +224,26 @@ def ols_effect(data: Dataset, q: MicroQuery, z: AdjustmentSet) -> EffectEstimate
     t0 = max_back
     if t0 >= data.horizon:
         raise EstimationError("horizon too short for the covariate window")
-    anchors = range(t0, data.horizon)
-    vals = data.values
-    cols = [np.ones((data.replicates, len(anchors)))]
-    cols.append(np.stack([vals[:, t - q.gamma, series_index[q.treatment]] for t in anchors], axis=1))
-    for tv in zs:
-        cols.append(np.stack([vals[:, t + tv.offset, series_index[tv.series]] for t in anchors], axis=1))
-    y = np.stack([vals[:, t, series_index[q.outcome]] for t in anchors], axis=1).ravel()
-    design = np.column_stack([c.ravel() for c in cols])
-    n, p = design.shape
-    if n <= len(zs) + 2:
+    anchors = np.arange(t0, data.horizon)
+    columns = [(q.treatment, -q.gamma)] + [(tv.series, tv.offset) for tv in zs] + [(q.outcome, 0)]
+    n, p = data.replicates * len(anchors), len(zs) + 2
+    if n <= p:
         raise EstimationError(f"too few rows ({n}) for {len(zs)} adjustment variables")
-    if np.linalg.matrix_rank(design) < p:
+    augmented = np.empty((n, p + 1), order="F")
+    augmented[:, 0] = 1.0
+    for k, (name, offset) in enumerate(columns, start=1):
+        augmented[:, k] = data.values[:, anchors + offset, series_index[name]].ravel()
+    r = np.linalg.qr(augmented, mode="r")
+    r_design = r[:p, :p]
+    s = np.linalg.svd(r_design, compute_uv=False)
+    if s[-1] <= s[0] * max(n, p) * np.finfo(s.dtype).eps:
         raise EstimationError("design matrix is rank deficient")
-    beta, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
-    resid = y - design @ beta
-    dof = max(n - p, 1)
-    sigma2 = float(resid @ resid) / dof
-    xtx_inv = np.linalg.inv(design.T @ design)
-    stderr = float(np.sqrt(sigma2 * xtx_inv[1, 1]))
+    # An upper-triangular matrix needs no pivoting, so this LU solve is plain
+    # back-substitution: the coefficients and the inverse R block at once.
+    solved = np.linalg.solve(r_design, np.column_stack([r[:p, p], np.eye(p)]))
+    beta, r_inv = solved[:, 0], solved[:, 1:]
+    sigma2 = float(r[p, p] ** 2) / max(n - p, 1)
+    stderr = float(np.sqrt(sigma2 * (r_inv[1] @ r_inv[1])))
     return EffectEstimate(point=float(beta[1]), set_used=frozenset(z), n=n, stderr=stderr)
 
 
@@ -243,12 +265,15 @@ def variance_experiment(
 
     Each block samples one linear model over a compatible template and
     simulates ``reps // blocks`` independent datasets of ``n`` replicates;
-    every named set is estimated on every dataset.  The per-set aggregate
-    variance is the mean of within-block variances, so between-model effect
-    heterogeneity does not contaminate the comparison.
+    every distinct set is estimated once on every dataset, and names bound to
+    equal sets share that estimate.  The per-set aggregate variance is the
+    mean of within-block variances, so between-model effect heterogeneity does
+    not contaminate the comparison.
     """
-    if reps % blocks != 0:
+    if blocks < 1 or reps % blocks != 0:
         raise ValueError("reps must be divisible by blocks")
+    if reps // blocks < 2:
+        raise ValueError(f"need at least 2 replicates per block, got {reps} over {blocks} blocks")
     if validate_sets:
         for name, z in sets.items():
             if name in ("a1", "a2"):
@@ -264,6 +289,7 @@ def variance_experiment(
     )
     reps_per_block = reps // blocks
     names = sorted(sets)
+    distinct = list(dict.fromkeys(sets[name] for name in names))
     points: dict[str, list[float]] = {name: [] for name in names}
     errors: dict[str, list[float]] = {name: [] for name in names}
     block_vars: dict[str, list[float]] = {name: [] for name in names}
@@ -277,10 +303,11 @@ def variance_experiment(
         for r in range(reps_per_block):
             data_seed = (seed * blocks + b) * reps_per_block + r
             data = generate(model, n, horizon, burn_in, seed=data_seed)
+            estimates = {z: ols_effect(data, q, z).point for z in distinct}
             for name in names:
-                est = ols_effect(data, q, sets[name])
-                block_points[name].append(est.point)
-                errors[name].append(est.point - truth)
+                point = estimates[sets[name]]
+                block_points[name].append(point)
+                errors[name].append(point - truth)
         for name in names:
             points[name].extend(block_points[name])
             block_vars[name].append(float(np.var(block_points[name], ddof=1)))

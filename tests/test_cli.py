@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -203,6 +204,13 @@ class TestSimulate:
         assert set(payload["per_set"]) == {"qopt", "a1", "a2"}
         assert "qopt_le_a1" in payload["ordering"]
 
+    def test_one_replicate_per_block_exit_4(self, graph_file, capsys):
+        code = run(["simulate", *q_flags(graph_file), "--n", "300", "--reps", "5"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_unknown_set_name_exit_4(self, graph_file):
         code = run(["simulate", *q_flags(graph_file), "--sets", "nope", "--n", "100",
                     "--reps", "4", "--blocks", "2"])
@@ -215,3 +223,15 @@ class TestDeterminism:
         run(["identify", *q_flags(feedback_file), "--out", str(a)])
         run(["identify", *q_flags(feedback_file), "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_check_error_independent_of_hash_seed(self, graph_file):
+        # Several bad variables: the one reported must not follow set order.
+        src = str(Path(scgadjust.__file__).resolve().parent.parent)
+        argv = [sys.executable, "-m", "scgadjust.cli", "check", *q_flags(graph_file),
+                "--set", '[["W",1],["X",-5],["Q",-1]]']
+        results = set()
+        for seed in range(6):
+            env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": str(seed)}
+            proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+            results.add((proc.returncode, proc.stdout, proc.stderr))
+        assert results == {(4, "", "error: W@1 outside adjustment window [-2, 0]\n")}

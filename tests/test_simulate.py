@@ -1,9 +1,21 @@
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from scgadjust import MicroQuery, QueryError, make_template, qopt, set_a1, set_a2, validate_scg
+from scgadjust import (
+    MicroQuery,
+    QueryError,
+    TemporalVar,
+    make_template,
+    qopt,
+    scg_from_json,
+    set_a1,
+    set_a2,
+    validate_scg,
+)
 from scgadjust.simulate import (
     Dataset,
     EstimationError,
@@ -16,8 +28,11 @@ from scgadjust.simulate import (
     true_effect,
     variance_experiment,
 )
+from scgadjust.unroll import enumerate_compatible_templates
 
 from .conftest import query, zset
+
+GRAPHS_DIR = Path(__file__).resolve().parent.parent / "graphs"
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +99,29 @@ class TestGenerate:
         lines = dataset_to_csv(data).strip().splitlines()
         assert lines[0] == "replicate,time,series,value"
         assert len(lines) == 1 + 2 * 3 * 2
+
+
+class TestPinnedGenerateBytes:
+    """The generated values and their CSV for every compatible template of two
+    sample graphs, at two seeds and sizes (one without burn-in), reduced to
+    one SHA-256 each.  Rewrites of the sampler must not move a single byte."""
+
+    VALUES_DIGEST = "691093447df7c0f81ad80ac8ad94f62fa78b19aa002607d91d234e85eca1bea1"
+    CSV_DIGEST = "19ea791cd3e947431c7e74680c8d6ecd0c09356268e67d96816c5c12897f4216"
+    # seed -> (replicates, horizon, burn_in)
+    SIZES = {3: (40, 4, 25), 8: (7, 6, 0)}
+
+    def test_digests(self):
+        values, text = hashlib.sha256(), hashlib.sha256()
+        for name in ("persistence_chain", "cycle_pair_confounded"):
+            g = scg_from_json((GRAPHS_DIR / f"{name}.json").read_text(encoding="utf-8"))
+            for tmpl in enumerate_compatible_templates(g, 1, cap=10_000):
+                for seed, (n, horizon, burn_in) in self.SIZES.items():
+                    data = generate(sample_linear_model(tmpl, seed=seed), n, horizon, burn_in, seed)
+                    assert data.values.shape == (n, horizon, 3)
+                    values.update(data.values.tobytes())
+                    text.update(dataset_to_csv(data).encode())
+        assert (values.hexdigest(), text.hexdigest()) == (self.VALUES_DIGEST, self.CSV_DIGEST)
 
 
 def _paths_effect_bruteforce(model: LinearDTDSCM, q: MicroQuery) -> float:
@@ -199,6 +237,67 @@ class TestOls:
             MicroQuery("Y", "Y", 0, 1)
 
 
+def _ols_reference(data, q, z):
+    """The textbook formula: a rank test by SVD, a least-squares solve and the
+    inverse Gram matrix, over a design built anchor by anchor."""
+    series_index = {v: i for i, v in enumerate(data.series)}
+    zs = sorted(z, key=lambda tv: (-tv.offset, tv.series))
+    t0 = max([q.gamma] + [-tv.offset for tv in zs])
+    anchors = range(t0, data.horizon)
+    vals = data.values
+    cols = [np.ones((data.replicates, len(anchors)))]
+    cols.append(np.stack([vals[:, t - q.gamma, series_index[q.treatment]] for t in anchors], axis=1))
+    for tv in zs:
+        cols.append(np.stack([vals[:, t + tv.offset, series_index[tv.series]] for t in anchors], axis=1))
+    y = np.stack([vals[:, t, series_index[q.outcome]] for t in anchors], axis=1).ravel()
+    design = np.column_stack([c.ravel() for c in cols])
+    n, p = design.shape
+    if np.linalg.matrix_rank(design) < p:
+        raise EstimationError("design matrix is rank deficient")
+    beta, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
+    resid = y - design @ beta
+    sigma2 = float(resid @ resid) / max(n - p, 1)
+    xtx_inv = np.linalg.inv(design.T @ design)
+    return float(beta[1]), float(np.sqrt(sigma2 * xtx_inv[1, 1]))
+
+
+class TestOlsOracle:
+    """``ols_effect`` against the reference formula on seeded random designs:
+    random models, sizes, lags and adjustment sets over every series."""
+
+    def cases(self, persistence_template):
+        rng = np.random.default_rng(np.random.SeedSequence([29, 1]))
+        for k in range(40):
+            model = sample_linear_model(persistence_template, seed=k)
+            gamma = int(rng.integers(0, 3))
+            horizon = int(rng.integers(gamma + 1, gamma + 5))
+            n = int(rng.choice((30, 200, 1500)))
+            data = generate(model, n, horizon, 5, seed=k)
+            window = [
+                TemporalVar(v, -o)
+                for v in data.series
+                for o in range(horizon)
+                if (v, o) != ("Y", 0) and (v, o) != ("X", gamma)
+            ]
+            size = int(rng.integers(0, min(len(window), 5) + 1))
+            picks = rng.choice(len(window), size=size, replace=False)
+            yield data, query(gamma=gamma), frozenset(window[i] for i in picks)
+
+    def test_matches_reference(self, persistence_template):
+        for data, q, z in self.cases(persistence_template):
+            est = ols_effect(data, q, z)
+            point, stderr = _ols_reference(data, q, z)
+            np.testing.assert_allclose([est.point, est.stderr], [point, stderr], rtol=1e-9, atol=0)
+
+    def test_collinear_design_rejected_by_both(self, persistence_template):
+        for data, q, z in self.cases(persistence_template):
+            bad = z | {TemporalVar(q.treatment, -q.gamma)}
+            with pytest.raises(EstimationError, match="rank deficient"):
+                _ols_reference(data, q, bad)
+            with pytest.raises(EstimationError, match="rank deficient"):
+                ols_effect(data, q, bad)
+
+
 class TestVarianceExperiment:
     def test_persistence_chain_ordering(self, persistence_chain):
         q = query(gamma=1)
@@ -258,6 +357,35 @@ class TestVarianceExperiment:
         assert abs(biased["bias"]) > 5 * biased["bias_se"]
         unbiased = report["per_set"]["qopt"]
         assert abs(unbiased["bias"]) < 4 * unbiased["bias_se"] + 1e-12
+
+    @pytest.mark.parametrize("reps,blocks", [(5, 5), (9, 5), (10, 0)])
+    def test_fewer_than_two_replicates_per_block_rejected(self, persistence_chain, reps, blocks):
+        q = query(gamma=1)
+        sets = {"qopt": qopt(persistence_chain, q)}
+        with pytest.raises(ValueError, match="divisible|at least 2 replicates per block"):
+            variance_experiment(persistence_chain, q, sets, n=100, reps=reps, seed=1, blocks=blocks)
+
+    def test_equal_sets_share_one_estimate(self, persistence_chain, monkeypatch):
+        import scgadjust.simulate as simulate
+
+        q = query(gamma=1)
+        calls = []
+        real = simulate.ols_effect
+
+        def counted(data, q, z):
+            calls.append(z)
+            return real(data, q, z)
+
+        monkeypatch.setattr(simulate, "ols_effect", counted)
+        sets = {
+            "qopt": qopt(persistence_chain, q),
+            "a1": set_a1(persistence_chain, q),
+            "a2": set_a2(persistence_chain, q),
+        }
+        assert sets["a1"] == sets["a2"]
+        report = variance_experiment(persistence_chain, q, sets, n=200, reps=4, seed=2, blocks=2)
+        assert len(calls) == 2 * 4
+        assert report["per_set"]["a1"] == report["per_set"]["a2"]
 
     def test_invalid_set_rejected(self, persistence_chain):
         q = query(gamma=1)
