@@ -140,7 +140,7 @@ def validate_scg(raw_nodes: Iterable[NodeId], raw_edges: Iterable[tuple[NodeId, 
 def scg_from_json(text: str) -> SCG:
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise GraphError(f"invalid graph JSON: {exc}") from exc
     if not isinstance(payload, dict) or "nodes" not in payload or "edges" not in payload:
         raise GraphError('graph JSON must be an object with "nodes" and "edges"')

@@ -256,6 +256,7 @@ class _QueryFacts:
         self.floor = q.window_floor
         self.d = possible_descendants(g, q.treatment, -q.gamma, (self.floor, 0), q.gamma_max)
         self._z1: dict[frozenset[str], AdjustmentSet] = {}
+        self._clash_reports: dict[AdjustmentSet, CriterionReport] = {}
 
     @cached_property
     def scc(self) -> SccPartition:
@@ -279,6 +280,20 @@ class _QueryFacts:
         clash message; built on the first clash."""
         order = sort_temporal(self.g, self.d)
         return {tv: i for i, tv in enumerate(order)}, {tv: tv.label() for tv in order}
+
+    def clash_report(self, clash: AdjustmentSet) -> CriterionReport:
+        """The rejection of a set whose possible descendants are ``clash``.
+        Memoised per clash: the report is frozen, so every set with the same
+        clash shares one instance."""
+        report = self._clash_reports.get(clash)
+        if report is None:
+            rank, label = self.descendant_labels
+            labels = ", ".join(map(label.__getitem__, sorted(clash, key=rank.__getitem__)))
+            report = CriterionReport(
+                False, None, None, EMPTY, (f"possible descendant of treatment in set: {labels}",)
+            )
+            self._clash_reports[clash] = report
+        return report
 
     @cached_property
     def cores(self) -> dict[str, AdjustmentSet]:
@@ -413,11 +428,7 @@ def scg_backdoor_check(g: SCG, q: MicroQuery, z: Iterable[TemporalVar]) -> Crite
 
     clash = z & facts.d
     if clash:
-        rank, label = facts.descendant_labels
-        labels = ", ".join(map(label.__getitem__, sorted(clash, key=rank.__getitem__)))
-        return CriterionReport(
-            False, None, None, EMPTY, (f"possible descendant of treatment in set: {labels}",)
-        )
+        return facts.clash_report(clash)
 
     if verdict.kind is VerdictKind.NON_ANCESTOR:
         return CriterionReport(True, None, None, EMPTY)
@@ -686,5 +697,5 @@ def adjustment_set_from_obj(obj) -> AdjustmentSet:
 def adjustment_set_from_json(text: str) -> AdjustmentSet:
     try:
         return adjustment_set_from_obj(json.loads(text))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise GraphError(f"invalid adjustment-set JSON: {exc}") from exc

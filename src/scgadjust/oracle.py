@@ -9,6 +9,15 @@ number is under the cap, and against the densest templates otherwise; the
 two routes agree because every compatible template is lag-set-wise contained
 in a densest one and active paths persist under edge additions (this
 equivalence is itself property-tested in the suite).
+
+The check runs in two stages.  A set is first tested, at both paddings, in
+the undominated densest templates (``unroll.undominated_templates``).  Every
+compatible template lies lag-set-wise within one of them, and validity
+carries from a template to every template it contains, so a set that passes
+them passes every template in the list, with no padding disagreement: what
+the full loop would record.  Any other set goes through the full template
+list in order, so its witness template and padding instabilities are the
+ones the full loop finds.  The output is the same bytes either way.
 """
 
 from __future__ import annotations
@@ -34,7 +43,6 @@ from .identify import (
     scg_backdoor_check,
 )
 from .unroll import (
-    FTDagTemplate,
     MicroQuery,
     TemplateCapExceeded,
     TemporalVar,
@@ -44,6 +52,7 @@ from .unroll import (
     enumerate_compatible_templates,
     instantiate,
     sort_temporal,
+    undominated_templates,
 )
 
 ENV_TEMPLATE_CAP = "SCGADJUST_TEMPLATE_CAP"
@@ -134,19 +143,6 @@ def random_scg(cfg: CorpusConfig, index: int) -> SCG:
     return validate_scg(names, edges)
 
 
-def validation_templates(
-    g: SCG, gamma_max: int, cap: int, check_all: bool | None = None
-) -> list[FTDagTemplate]:
-    """The templates a validity check runs against: every compatible one when
-    there are at most ``cap`` of them (or ``check_all`` says so), otherwise
-    the densest ones, which stand in for all of them."""
-    if check_all is None:
-        check_all = count_compatible_templates(g, gamma_max, cap) <= cap
-    if check_all:
-        return enumerate_compatible_templates(g, gamma_max, cap=1_000_000)
-    return densest_templates(g, gamma_max)
-
-
 def common_backdoor_valid(
     g: SCG,
     q: MicroQuery,
@@ -155,16 +151,23 @@ def common_backdoor_valid(
     check_all_templates: bool | None = None,
 ) -> bool:
     """Whether ``z`` passes the classical back-door check in every compatible
-    full-time DAG.  ``cap`` bounds the densest-template count (over-cap raises);
-    when the full template count is under the cap all templates are checked
-    directly, otherwise the densest ones stand in for all of them."""
+    full-time DAG.  ``cap`` bounds the densest-template count (over-cap raises).
+    By default the undominated densest templates are checked: every compatible
+    template lies lag-set-wise within one of them, and validity carries from a
+    template to every template it contains.  ``check_all_templates`` set to
+    True checks every compatible template instead, False every densest one."""
     z = frozenset(z)
     if cap is None:
         cap = default_template_cap()
     n_densest = count_densest_templates(g)
     if n_densest > cap:
         raise TemplateCapExceeded(cap, n_densest)
-    templates = validation_templates(g, q.gamma_max, cap, check_all_templates)
+    if check_all_templates:
+        templates = enumerate_compatible_templates(g, q.gamma_max, cap=1_000_000)
+    elif check_all_templates is None:
+        templates = undominated_templates(densest_templates(g, q.gamma_max))
+    else:
+        templates = densest_templates(g, q.gamma_max)
     return all(BackdoorTester(t, q).check(z) for t in templates)
 
 
@@ -278,6 +281,14 @@ def soundness_experiment(
     damaged checker (one that, say, loses the possible-descendant guard) is
     still caught by the classical side.  Blocking verdicts are recomputed at
     a deeper past padding and disagreements are counted as instabilities.
+
+    Each set is first tested in the undominated densest templates at both
+    paddings.  Removing edges keeps a valid set valid (descendants shrink,
+    open paths stay open in any supergraph), and every template in the list
+    lies within an undominated one, so passing them all means passing every
+    template at both paddings: no witness and no instability.  A set that
+    fails there runs the ordered loop over the full list, whose testers are
+    built on the first such set, and is reported as that loop finds it.
     """
     rows: list[GraphRow] = []
     counterexamples: list[dict] = []
@@ -299,20 +310,24 @@ def soundness_experiment(
 
         full_count = count_compatible_templates(g, cfg.gamma_max, cfg.template_cap)
         use_all = full_count <= cfg.template_cap
-        templates = None
+        dense = kept = templates = None
         for gamma in gammas:
             q = MicroQuery("X", "Y", gamma, cfg.gamma_max)
             verdict = identify(g, q)
             if identify(g, q, condition_c_form="component").kind is not verdict.kind:
                 condition_c_form_mismatches += 1
+            if verdict.kind is not VerdictKind.NOT_IDENTIFIABLE and dense is None:
+                dense = densest_templates(g, cfg.gamma_max)
+                kept = undominated_templates(dense)
 
             n_checked = n_sound = 0
             if verdict.kind is VerdictKind.NON_ANCESTOR:
                 # The canonical set here is empty; its classical counterpart is
                 # that no compatible template makes the treatment an ancestor.
+                # A template inherits the descendants of every template it
+                # contains, so the undominated densest ones decide this.
                 ok = not any(
-                    BackdoorTester(t, q).descendant_clash([q.outcome_var])
-                    for t in densest_templates(g, cfg.gamma_max)
+                    BackdoorTester(t, q).descendant_clash([q.outcome_var]) for t in kept
                 )
                 n_checked, n_sound = 1, int(ok)
                 if not ok:
@@ -325,14 +340,12 @@ def soundness_experiment(
                         }
                     )
             elif verdict.kind is not VerdictKind.NOT_IDENTIFIABLE:
-                if templates is None:
-                    templates = validation_templates(g, cfg.gamma_max, cfg.template_cap, use_all)
-                testers = [BackdoorTester(t, q) for t in templates]
-                padded = (
-                    [BackdoorTester(t, q, extra_padding=cfg.gamma_max + 1) for t in templates]
-                    if check_padding_stability
-                    else None
-                )
+                # First stage: a set valid in every undominated densest
+                # template, at both paddings, is valid in every template below.
+                fast = [BackdoorTester(t, q) for t in kept]
+                if check_padding_stability:
+                    fast += [BackdoorTester(t, q, extra_padding=cfg.gamma_max + 1) for t in kept]
+                testers = padded = None
 
                 to_check: dict[AdjustmentSet, str] = {}
                 for z in candidate_subsets(g, q, cfg.max_subset_size):
@@ -344,6 +357,25 @@ def soundness_experiment(
                 for z, origin in sorted(
                     to_check.items(), key=lambda item: adjustment_set_to_obj(g, item[0])
                 ):
+                    n_checked += 1
+                    if all(tester.check(z) for tester in fast):
+                        n_sound += 1
+                        continue
+                    # Second stage: the ordered loop over every template, so the
+                    # witness and the padding instabilities are those it finds.
+                    if testers is None:
+                        if templates is None:
+                            templates = (
+                                enumerate_compatible_templates(g, cfg.gamma_max, cap=1_000_000)
+                                if use_all
+                                else dense
+                            )
+                        testers = [BackdoorTester(t, q) for t in templates]
+                        padded = (
+                            [BackdoorTester(t, q, extra_padding=cfg.gamma_max + 1) for t in templates]
+                            if check_padding_stability
+                            else None
+                        )
                     witness = None
                     for j, tester in enumerate(testers):
                         v = tester.check(z)
@@ -355,7 +387,6 @@ def soundness_experiment(
                         if not v:
                             witness = templates[j]
                             break
-                    n_checked += 1
                     if witness is None:
                         n_sound += 1
                     else:

@@ -293,6 +293,19 @@ def densest_templates(g: SCG, gamma_max: int) -> list[FTDagTemplate]:
     return results
 
 
+def undominated_templates(dense: list[FTDagTemplate]) -> list[FTDagTemplate]:
+    """The densest templates (as ``densest_templates`` lists them) whose lag-0
+    edge set is not strictly contained in another's, in the same order.
+
+    Densest templates differ only in their lag-0 edges, so every densest
+    template, and hence every compatible one, lies lag-set-wise within a kept
+    one.  A property that a template passes on to every template it contains
+    (back-door validity of a set), or inherits from every template it
+    contains (a descendant relation), is therefore decided by these alone."""
+    zero = [frozenset(e for e, ls in t.lag_entries if 0 in ls) for t in dense]
+    return [t for t, s in zip(dense, zero) if not any(s < other for other in zero)]
+
+
 @dataclass(frozen=True)
 class UnrolledGraph:
     """A template unrolled over an offset window; always acyclic."""
@@ -498,7 +511,7 @@ def possible_descendants_bruteforce(
 def template_from_json(text: str) -> FTDagTemplate:
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise TemplateError(f"invalid template JSON: {exc}") from exc
     try:
         g = validate_scg(payload["scg"]["nodes"], payload["scg"]["edges"])
@@ -512,7 +525,7 @@ def template_from_json(text: str) -> FTDagTemplate:
 def query_from_json(text: str) -> MicroQuery:
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise QueryError(f"invalid query JSON: {exc}") from exc
     try:
         return MicroQuery(
@@ -542,6 +555,7 @@ __all__ = [
     "count_compatible_templates",
     "count_densest_templates",
     "densest_templates",
+    "undominated_templates",
     "unroll",
     "padded_window",
     "d_separated",

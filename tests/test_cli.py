@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scgadjust
 from scgadjust.cli import run
@@ -235,3 +239,93 @@ class TestDeterminism:
             proc = subprocess.run(argv, capture_output=True, text=True, env=env)
             results.add((proc.returncode, proc.stdout, proc.stderr))
         assert results == {(4, "", "error: W@1 outside adjustment window [-2, 0]\n")}
+
+
+# Odd JSON for the CLI fuzz test: scalars of every JSON type, short nestings,
+# node-name-like strings, and graph- and set-shaped payloads built from them.
+NAMES = st.sampled_from(["X", "Y", "W", "", "Q"])
+SCALARS = st.none() | st.booleans() | st.integers(-4, 3) | st.floats() | st.text(max_size=3) | NAMES
+VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=10,
+)
+
+
+@st.composite
+def wellformed_graphs(draw) -> dict:
+    nodes = draw(st.sampled_from([["X"], ["X", "Y"], ["X", "Y", "W"], ["W", "Y", "X"]]))
+    pairs = [(u, w) for u in nodes for w in nodes]
+    edges = draw(st.sets(st.sampled_from(pairs)))
+    return {"nodes": nodes, "edges": sorted(map(list, edges))}
+
+
+# Nesting as deep as JSON allows, around the interpreter's recursion limit,
+# and beyond it.
+DEEP = st.sampled_from([1, 10, 500, 990, 1000, 5000, 100_000]).map(lambda k: "[" * k + "]" * k)
+
+GRAPH_TEXT = st.one_of(
+    wellformed_graphs().map(json.dumps),
+    wellformed_graphs().map(json.dumps),
+    DEEP,
+    DEEP.map(lambda deep: f'{{"nodes": {deep}, "edges": []}}'),
+    DEEP.map(lambda deep: f'{{"nodes": ["X", "Y"], "edges": [{deep}]}}'),
+    st.fixed_dictionaries(
+        {
+            "nodes": st.lists(SCALARS, max_size=4) | VALUES,
+            "edges": st.lists(st.lists(SCALARS, max_size=3) | VALUES, max_size=4) | VALUES,
+        }
+    ).map(json.dumps),
+    VALUES.map(json.dumps),
+    st.text(max_size=12),
+)
+# A valid query half the time, so that odd sets reach the criterion.
+QUERIES = st.one_of(
+    st.tuples(st.just("X"), st.just("Y"), st.integers(0, 2), st.integers(1, 2)),
+    st.tuples(NAMES, NAMES, st.integers(-1, 2), st.integers(0, 2)),
+)
+SET_TEXT = st.one_of(
+    st.lists(st.tuples(st.sampled_from(["X", "Y", "W"]), st.integers(-2, 0)).map(list), max_size=4).map(
+        json.dumps
+    ),
+    st.lists(st.tuples(NAMES, st.integers(-4, 1)).map(list), max_size=4).map(json.dumps),
+    DEEP,
+    DEEP.map(lambda deep: f'[["X", -1], {deep}]'),
+    st.lists(st.tuples(NAMES, st.integers(-4, 1)).map(list), max_size=4).map(json.dumps),
+    st.lists(st.lists(SCALARS, max_size=3) | VALUES, max_size=4).map(json.dumps),
+    VALUES.map(json.dumps),
+    st.text(max_size=12),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_graph_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "graph.json"
+
+
+class TestCliFuzz:
+    @given(
+        command=st.sampled_from(["identify", "check", "sets"]),
+        graph=GRAPH_TEXT,
+        z=SET_TEXT,
+        query=QUERIES,
+    )
+    @settings(max_examples=300)
+    def test_clean_exit(self, fuzz_graph_path, command, graph, z, query):
+        # Odd input ends in a documented exit code with a one-line error,
+        # never in an exception escaping ``run``.
+        treatment, outcome, gamma, gamma_max = query
+        fuzz_graph_path.write_text(graph, encoding="utf-8")
+        argv = [
+            command, f"--graph={fuzz_graph_path}", f"--treatment={treatment}",
+            f"--outcome={outcome}", f"--gamma={gamma}", f"--gamma-max={gamma_max}",
+        ]
+        if command == "check":
+            argv.append(f"--set={z}")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        assert code in {0, 2, 3, 4, 5}
+        assert "Traceback" not in err.getvalue()
+        if code == 4:
+            assert err.getvalue().startswith("error: ")

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -5,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scgadjust import MicroQuery, TemplateCapExceeded, VerdictKind, identify, validate_scg
-from scgadjust.identify import CriterionReport, query_facts, scg_backdoor_check
+from scgadjust import oracle
+from scgadjust.identify import BackdoorTester, CriterionReport, query_facts, scg_backdoor_check
 from scgadjust.oracle import (
     CorpusConfig,
     candidate_subsets,
@@ -78,7 +80,8 @@ class TestCommonBackdoor:
     @given(small_scgs(max_nodes=4), st.integers(min_value=0, max_value=1), st.data())
     @settings(max_examples=40)
     def test_densest_route_equals_full_enumeration(self, g, gamma, data):
-        # The densest templates decide common validity exactly.
+        # The densest templates, and the undominated ones among them (the
+        # default), decide common validity exactly.
         q = MicroQuery(g.nodes[0], g.nodes[1], gamma, 1)
         if count_compatible_templates(g, 1, 200) > 200:
             return
@@ -86,7 +89,17 @@ class TestCommonBackdoor:
         z = data.draw(st.sampled_from(pool))
         full = common_backdoor_valid(g, q, z, cap=10_000, check_all_templates=True)
         dense = common_backdoor_valid(g, q, z, cap=10_000, check_all_templates=False)
-        assert full == dense
+        undominated = common_backdoor_valid(g, q, z, cap=10_000)
+        assert full == dense == undominated
+
+
+def no_descendant_guard(g, q, z) -> CriterionReport:
+    """The criterion with its possible-descendant guard removed."""
+    facts = query_facts(g, q)
+    inner = scg_backdoor_check(g, q, frozenset(z) - facts.d)
+    return CriterionReport(
+        inner.satisfied, inner.condition, inner.item, inner.required_core, inner.violations
+    )
 
 
 @pytest.fixture(scope="module")
@@ -128,13 +141,6 @@ class TestSoundness:
     def test_injected_bug_is_caught(self):
         # A checker that loses the possible-descendant guard must be caught
         # by the classical side.
-        def no_descendant_guard(g, q, z) -> CriterionReport:
-            facts = query_facts(g, q)
-            inner = scg_backdoor_check(g, q, frozenset(z) - facts.d)
-            return CriterionReport(
-                inner.satisfied, inner.condition, inner.item, inner.required_core, inner.violations
-            )
-
         report = soundness_experiment(
             CorpusConfig(n_graphs=12, seed=7),
             checker=no_descendant_guard,
@@ -142,6 +148,64 @@ class TestSoundness:
         )
         assert len(report.counterexamples) > 0
         assert report.sets_sound < report.sets_checked
+
+
+class TestPinnedValidateBytes:
+    """SHA-256 of ``soundness_experiment(...).to_json()`` on fixed corpora.
+
+    The injected-bug corpus yields thousands of counterexamples, so its digest
+    pins the witness template the in-order fallback reports for each failing
+    set; it is the same with and without the padding re-check.
+    """
+
+    @staticmethod
+    def digest(report) -> str:
+        return hashlib.sha256(report.to_json().encode()).hexdigest()
+
+    def test_small_report(self, small_report):
+        assert self.digest(small_report) == (
+            "d2e5c4bd7bfd4e35aa589232a552fbff522f49298aa80c5f69776e3dc37eba81"
+        )
+
+    @pytest.mark.parametrize("padding", [True, False])
+    def test_injected_bug_corpus(self, padding):
+        report = soundness_experiment(
+            CorpusConfig(n_graphs=12, seed=7),
+            checker=no_descendant_guard,
+            check_padding_stability=padding,
+        )
+        assert len(report.counterexamples) == 10_787
+        assert self.digest(report) == (
+            "1a83eb874fea326fc03630d15cdb3306bc98fb860bebae7c01abffb3ce4d1fe1"
+        )
+
+    def test_padding_disagreement_corpus(self, monkeypatch):
+        # No real corpus has a padding disagreement, so a tester whose deeper
+        # padding rejects every set holding a window-floor variable stands in
+        # for one: each such set must fail the first stage and be counted by
+        # the ordered loop (an instability when the shallow check passes).
+        class FloorBlindPadding(BackdoorTester):
+            def __init__(self, tmpl, q, extra_padding=0):
+                super().__init__(tmpl, q, extra_padding)
+                self.deep = extra_padding > 0
+
+            def check(self, z):
+                if self.deep and any(tv.offset == self.q.window_floor for tv in z):
+                    return False
+                return super().check(z)
+
+        monkeypatch.setattr(oracle, "BackdoorTester", FloorBlindPadding)
+        report = soundness_experiment(CorpusConfig(n_graphs=12, seed=7))
+        assert report.padding_instabilities == len(report.counterexamples) == 372
+        assert self.digest(report) == (
+            "ea17efa95793b1a97e90e9648d58c2f84a025f8a0d996f0f4704ef853eebc4b8"
+        )
+
+    def test_gamma_max_two_corpus(self):
+        report = soundness_experiment(CorpusConfig(n_graphs=8, seed=11, gamma_max=2))
+        assert self.digest(report) == (
+            "09712c40f798afc78401159cc50ce882661fef92115353129db98299e15981d3"
+        )
 
 
 class TestKnownSoundnessGap:

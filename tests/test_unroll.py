@@ -24,7 +24,12 @@ from scgadjust import (
 )
 from scgadjust.graph import GraphError, on_any_cycle
 from scgadjust.oracle import CorpusConfig, random_scg
-from scgadjust.unroll import count_compatible_templates, count_densest_templates, sort_temporal
+from scgadjust.unroll import (
+    count_compatible_templates,
+    count_densest_templates,
+    sort_temporal,
+    undominated_templates,
+)
 
 from .conftest import small_scgs, tv, zset
 
@@ -137,6 +142,41 @@ class TestDensest:
             assert any(
                 all(lags[e] <= d[e] for e in lags) for d in dense
             ), "template not dominated by any densest template"
+
+    @given(small_scgs(max_nodes=4), st.integers(min_value=1, max_value=2))
+    @settings(max_examples=30)
+    def test_undominated_densest_cover_every_template(self, g, gamma_max):
+        # The oracle's first stage rests on this: every compatible template
+        # lies within a kept densest template, and every dropped densest
+        # template lies strictly within a kept one.
+        total = count_compatible_templates(g, gamma_max, 300)
+        if total > 300:
+            return
+        dense = densest_templates(g, gamma_max)
+        kept = undominated_templates(dense)
+        kept_lags = [t.lags for t in kept]
+
+        def within(lags, other) -> bool:
+            return all(lags[e] <= other[e] for e in lags)
+
+        assert kept and all(t in dense for t in kept)
+        for t in enumerate_compatible_templates(g, gamma_max, cap=300):
+            assert any(within(t.lags, k) for k in kept_lags), "template outside every kept one"
+        for t in dense:
+            if t not in kept:
+                lags = t.lags
+                assert any(within(lags, k) and lags != k for k in kept_lags)
+
+    def test_three_cycle_keeps_the_two_edge_orders(self):
+        g = validate_scg(["A", "B", "C"], [("A", "B"), ("B", "C"), ("C", "A")])
+        kept = undominated_templates(densest_templates(g, 1))
+        zero = [frozenset(e for e, ls in t.lag_entries if 0 in ls) for t in kept]
+        assert count_densest_templates(g) == 6
+        assert zero == [
+            frozenset({("A", "B"), ("B", "C")}),
+            frozenset({("A", "B"), ("C", "A")}),
+            frozenset({("B", "C"), ("C", "A")}),
+        ]
 
 
 class TestUnroll:
