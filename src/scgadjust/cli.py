@@ -25,13 +25,7 @@ from .identify import (
     qopt,
     scg_backdoor_check,
 )
-from .oracle import (
-    CorpusConfig,
-    completeness_probe,
-    default_template_cap,
-    probe_graph,
-    soundness_experiment,
-)
+from .oracle import TEMPLATE_CAP, CorpusConfig, completeness_probe, probe_graph, soundness_experiment
 from .unroll import (
     MicroQuery,
     QueryError,
@@ -259,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hi", type=int, default=0)
     p.add_argument("--template-index", type=int, default=0, dest="template_index")
     p.add_argument("--densest", action="store_true", help="index into the densest templates")
-    p.add_argument("--template-cap", type=int, default=default_template_cap(), dest="template_cap")
+    p.add_argument("--template-cap", type=int, default=TEMPLATE_CAP, dest="template_cap")
     p.set_defaults(func=cmd_unroll)
 
     def add_corpus_flags(p):
@@ -269,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--edge-probability", type=float, default=0.3, dest="edge_probability")
         p.add_argument("--acyclic", action="store_true")
         p.add_argument("--gamma-max", type=int, default=1, dest="gamma_max")
-        p.add_argument("--template-cap", type=int, default=default_template_cap(), dest="template_cap")
+        p.add_argument("--template-cap", type=int, default=TEMPLATE_CAP, dest="template_cap")
         p.add_argument("--seed", type=int, default=7)
         p.add_argument("--max-subset-size", type=int, default=5, dest="max_subset_size")
         p.add_argument("--out", default=None)
@@ -302,8 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv: list[str] | None = None) -> int:
     try:
-        # The parser reads SCGADJUST_TEMPLATE_CAP for its defaults, so a
-        # malformed value is reported like any other input error.
         args = build_parser().parse_args(argv)
         return args.func(args)
     except TemplateCapExceeded as exc:

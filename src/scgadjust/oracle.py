@@ -3,21 +3,25 @@
 The soundness experiment draws seeded random summary graphs, enumerates every
 candidate adjustment set the macro criterion accepts, and verifies each one
 against the classical back-door criterion in the compatible full-time DAGs.
-Graphs whose densest-template count exceeds the cap are skipped (and
-counted).  Validity is checked against all compatible templates when their
-number is under the cap, and against the densest templates otherwise; the
-two routes agree because every compatible template is lag-set-wise contained
-in a densest one and active paths persist under edge additions (this
-equivalence is itself property-tested in the suite).
+The completeness probe searches the other way, for sets valid in every
+compatible full-time DAG that the criterion rejects.
 
-The check runs in two stages.  A set is first tested, at both paddings, in
-the undominated densest templates (``unroll.undominated_templates``).  Every
-compatible template lies lag-set-wise within one of them, and validity
-carries from a template to every template it contains, so a set that passes
-them passes every template in the list, with no padding disagreement: what
-the full loop would record.  Any other set goes through the full template
-list in order, so its witness template and padding instabilities are the
-ones the full loop finds.  The output is the same bytes either way.
+Both read two objects.  ``_GraphTemplates`` owns the templates of one
+(graph, gamma_max): the cap test (a graph with more densest templates than
+the cap is skipped, or raises ``TemplateCapExceeded`` once a set reaches the
+oracle), the ``n_densest`` and ``n_templates`` report columns, the densest
+templates, the undominated ones among them (``unroll.undominated_templates``)
+and the ordered list a failing set is reported against: every compatible
+template when there are at most ``cap`` of them, the densest ones otherwise.
+``_ClassicalCheck`` holds the per-query testers over them.
+
+Validity is decided in the undominated densest templates.  Every compatible
+template lies lag-set-wise within one of them, and a set valid in a template
+stays valid in every template it contains (the descendants shrink, and every
+open path stays open in the supergraph), so a set that passes them passes
+every template.  The soundness experiment tests them at both paddings; a set
+that fails there goes through the ordered list, so its witness template and
+padding instabilities are the ones the full loop finds.
 """
 
 from __future__ import annotations
@@ -25,9 +29,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
+from functools import cached_property
 from itertools import combinations
 from typing import Callable, Iterable
 
@@ -43,6 +47,7 @@ from .identify import (
     scg_backdoor_check,
 )
 from .unroll import (
+    FTDagTemplate,
     MicroQuery,
     TemplateCapExceeded,
     TemporalVar,
@@ -55,20 +60,9 @@ from .unroll import (
     undominated_templates,
 )
 
-ENV_TEMPLATE_CAP = "SCGADJUST_TEMPLATE_CAP"
-
-
-def default_template_cap() -> int:
-    raw = os.environ.get(ENV_TEMPLATE_CAP)
-    if raw is None:
-        return 50
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{ENV_TEMPLATE_CAP} must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise ValueError(f"{ENV_TEMPLATE_CAP} must be >= 1")
-    return cap
+# The default densest-template cap of the corpora, the CLI flags and the
+# ``cap`` arguments.
+TEMPLATE_CAP = 50
 
 
 @dataclass(frozen=True)
@@ -80,7 +74,7 @@ class CorpusConfig:
     edge_probability: float = 0.3
     allow_cycles: bool = True
     gamma_max: int = 1
-    template_cap: int = 50
+    template_cap: int = TEMPLATE_CAP
     seed: int = 7
     max_subset_size: int = 5
 
@@ -143,32 +137,109 @@ def random_scg(cfg: CorpusConfig, index: int) -> SCG:
     return validate_scg(names, edges)
 
 
+class _GraphTemplates:
+    """The oracle's templates of one (graph, gamma_max), each computed on
+    first use: a graph that is over the cap or not identifiable builds none."""
+
+    def __init__(self, g: SCG, gamma_max: int, cap: int):
+        if cap < 1:
+            raise ValueError("template_cap must be >= 1")
+        self.g = g
+        self.gamma_max = gamma_max
+        self.cap = cap
+
+    @cached_property
+    def n_densest(self) -> int:
+        return count_densest_templates(self.g)
+
+    @property
+    def over_cap(self) -> bool:
+        return self.n_densest > self.cap
+
+    @cached_property
+    def densest(self) -> list[FTDagTemplate]:
+        if self.over_cap:
+            raise TemplateCapExceeded(self.cap, self.n_densest)
+        return densest_templates(self.g, self.gamma_max)
+
+    @cached_property
+    def undominated(self) -> list[FTDagTemplate]:
+        return undominated_templates(self.densest)
+
+    @cached_property
+    def n_templates(self) -> int | None:
+        """The number of compatible templates, or None when there are more
+        than ``cap``.  They are counted, not kept: a list of them is built
+        only when a set reaches the in-order fallback."""
+        n = count_compatible_templates(self.g, self.gamma_max, self.cap)
+        return n if n <= self.cap else None
+
+    @cached_property
+    def ordered(self) -> list[FTDagTemplate]:
+        """The templates a failing set is reported against, in order."""
+        if self.n_templates is None:
+            return self.densest
+        return enumerate_compatible_templates(self.g, self.gamma_max, self.cap)
+
+
+class _ClassicalCheck:
+    """The classical back-door check of one query's sets over a graph's
+    templates; each tester list is built on first use."""
+
+    def __init__(self, templates: _GraphTemplates, q: MicroQuery):
+        self.templates = templates
+        self.q = q
+
+    def _testers(self, templates: list[FTDagTemplate], extra_padding: int = 0) -> list[BackdoorTester]:
+        return [BackdoorTester(t, self.q, extra_padding) for t in templates]
+
+    @cached_property
+    def plain(self) -> list[BackdoorTester]:
+        return self._testers(self.templates.undominated)
+
+    @cached_property
+    def padded(self) -> list[BackdoorTester]:
+        return self._testers(self.templates.undominated, self.q.gamma_max + 1)
+
+    @cached_property
+    def in_order(self) -> list[tuple[FTDagTemplate, BackdoorTester, BackdoorTester]]:
+        ordered = self.templates.ordered
+        return list(zip(ordered, self._testers(ordered), self._testers(ordered, self.q.gamma_max + 1)))
+
+    def makes_ancestor(self) -> bool:
+        """Whether the treatment is an ancestor of the outcome in some
+        compatible template; a template inherits the descendants of every
+        template it contains, so the undominated ones decide this.  Each
+        tester is used once here, so none is kept."""
+        y = [self.q.outcome_var]
+        return any(BackdoorTester(t, self.q).descendant_clash(y) for t in self.templates.undominated)
+
+    def valid(self, z: AdjustmentSet) -> bool:
+        """Whether ``z`` is valid in every compatible template."""
+        return all(t.check(z) for t in self.plain)
+
+    def witness(self, z: AdjustmentSet) -> tuple[FTDagTemplate | None, int]:
+        """The first template in order where ``z`` fails at the deeper of
+        the two paddings (None if there is none), and the number of
+        templates checked on the way whose paddings disagree."""
+        if self.valid(z) and all(t.check(z) for t in self.padded):
+            return None, 0
+        unstable = 0
+        for tmpl, plain, padded in self.in_order:
+            ok = padded.check(z)
+            if ok != plain.check(z):
+                unstable += 1
+            if not ok:
+                return tmpl, unstable
+        return None, unstable
+
+
 def common_backdoor_valid(
-    g: SCG,
-    q: MicroQuery,
-    z: Iterable[TemporalVar],
-    cap: int | None = None,
-    check_all_templates: bool | None = None,
+    g: SCG, q: MicroQuery, z: Iterable[TemporalVar], cap: int = TEMPLATE_CAP
 ) -> bool:
     """Whether ``z`` passes the classical back-door check in every compatible
-    full-time DAG.  ``cap`` bounds the densest-template count (over-cap raises).
-    By default the undominated densest templates are checked: every compatible
-    template lies lag-set-wise within one of them, and validity carries from a
-    template to every template it contains.  ``check_all_templates`` set to
-    True checks every compatible template instead, False every densest one."""
-    z = frozenset(z)
-    if cap is None:
-        cap = default_template_cap()
-    n_densest = count_densest_templates(g)
-    if n_densest > cap:
-        raise TemplateCapExceeded(cap, n_densest)
-    if check_all_templates:
-        templates = enumerate_compatible_templates(g, q.gamma_max, cap=1_000_000)
-    elif check_all_templates is None:
-        templates = undominated_templates(densest_templates(g, q.gamma_max))
-    else:
-        templates = densest_templates(g, q.gamma_max)
-    return all(BackdoorTester(t, q).check(z) for t in templates)
+    full-time DAG.  ``cap`` bounds the densest-template count (over-cap raises)."""
+    return _ClassicalCheck(_GraphTemplates(g, q.gamma_max, cap), q).valid(frozenset(z))
 
 
 @dataclass(frozen=True)
@@ -220,37 +291,13 @@ class SoundnessReport:
         return json.dumps(self.to_obj(), indent=2, sort_keys=True)
 
     def to_csv(self) -> str:
+        """One row per ``GraphRow``, in field order; ``skipped`` as 0/1 and a
+        missing ``n_templates`` as an empty cell."""
         buf = io.StringIO()
         writer = csv.writer(buf)
-        writer.writerow(
-            [
-                "index",
-                "n_nodes",
-                "n_edges",
-                "gamma",
-                "verdict",
-                "n_densest",
-                "n_templates",
-                "skipped",
-                "sets_checked",
-                "sets_sound",
-            ]
-        )
+        writer.writerow(f.name for f in fields(GraphRow))
         for row in self.rows:
-            writer.writerow(
-                [
-                    row.index,
-                    row.n_nodes,
-                    row.n_edges,
-                    row.gamma,
-                    row.verdict,
-                    row.n_densest,
-                    "" if row.n_templates is None else row.n_templates,
-                    int(row.skipped),
-                    row.sets_checked,
-                    row.sets_sound,
-                ]
-            )
+            writer.writerow(int(v) if isinstance(v, bool) else v for v in astuple(row))
         return buf.getvalue()
 
 
@@ -266,12 +313,7 @@ def candidate_subsets(
     return out
 
 
-def soundness_experiment(
-    cfg: CorpusConfig,
-    checker: Callable = scg_backdoor_check,
-    gammas: tuple[int, ...] = (0, 1),
-    check_padding_stability: bool = True,
-) -> SoundnessReport:
+def soundness_experiment(cfg: CorpusConfig, checker: Callable = scg_backdoor_check) -> SoundnessReport:
     """Replicates the algorithmic-validity experiment at the configured scale.
 
     For every identifiable (graph, query) under the densest-template cap,
@@ -281,54 +323,37 @@ def soundness_experiment(
     damaged checker (one that, say, loses the possible-descendant guard) is
     still caught by the classical side.  Blocking verdicts are recomputed at
     a deeper past padding and disagreements are counted as instabilities.
-
-    Each set is first tested in the undominated densest templates at both
-    paddings.  Removing edges keeps a valid set valid (descendants shrink,
-    open paths stay open in any supergraph), and every template in the list
-    lies within an undominated one, so passing them all means passing every
-    template at both paddings: no witness and no instability.  A set that
-    fails there runs the ordered loop over the full list, whose testers are
-    built on the first such set, and is reported as that loop finds it.
     """
     rows: list[GraphRow] = []
     counterexamples: list[dict] = []
-    graphs_tested = 0
     skipped = 0
     condition_c_form_mismatches = 0
     padding_instabilities = 0
 
     for index in range(cfg.n_graphs):
         g = random_scg(cfg, index)
-        n_densest = count_densest_templates(g)
-        if n_densest > cfg.template_cap:
+        templates = _GraphTemplates(g, cfg.gamma_max, cfg.template_cap)
+        if templates.over_cap:
             skipped += 1
             rows.append(
-                GraphRow(index, len(g.nodes), len(g.edges), -1, "skipped", n_densest, None, True, 0, 0)
+                GraphRow(
+                    index, len(g.nodes), len(g.edges), -1, "skipped", templates.n_densest, None, True, 0, 0
+                )
             )
             continue
-        graphs_tested += 1
 
-        full_count = count_compatible_templates(g, cfg.gamma_max, cfg.template_cap)
-        use_all = full_count <= cfg.template_cap
-        dense = kept = templates = None
-        for gamma in gammas:
+        for gamma in (0, 1):
             q = MicroQuery("X", "Y", gamma, cfg.gamma_max)
             verdict = identify(g, q)
             if identify(g, q, condition_c_form="component").kind is not verdict.kind:
                 condition_c_form_mismatches += 1
-            if verdict.kind is not VerdictKind.NOT_IDENTIFIABLE and dense is None:
-                dense = densest_templates(g, cfg.gamma_max)
-                kept = undominated_templates(dense)
+            classical = _ClassicalCheck(templates, q)
 
             n_checked = n_sound = 0
             if verdict.kind is VerdictKind.NON_ANCESTOR:
                 # The canonical set here is empty; its classical counterpart is
                 # that no compatible template makes the treatment an ancestor.
-                # A template inherits the descendants of every template it
-                # contains, so the undominated densest ones decide this.
-                ok = not any(
-                    BackdoorTester(t, q).descendant_clash([q.outcome_var]) for t in kept
-                )
+                ok = not classical.makes_ancestor()
                 n_checked, n_sound = 1, int(ok)
                 if not ok:
                     counterexamples.append(
@@ -340,13 +365,6 @@ def soundness_experiment(
                         }
                     )
             elif verdict.kind is not VerdictKind.NOT_IDENTIFIABLE:
-                # First stage: a set valid in every undominated densest
-                # template, at both paddings, is valid in every template below.
-                fast = [BackdoorTester(t, q) for t in kept]
-                if check_padding_stability:
-                    fast += [BackdoorTester(t, q, extra_padding=cfg.gamma_max + 1) for t in kept]
-                testers = padded = None
-
                 to_check: dict[AdjustmentSet, str] = {}
                 for z in candidate_subsets(g, q, cfg.max_subset_size):
                     if checker(g, q, z).satisfied:
@@ -358,35 +376,8 @@ def soundness_experiment(
                     to_check.items(), key=lambda item: adjustment_set_to_obj(g, item[0])
                 ):
                     n_checked += 1
-                    if all(tester.check(z) for tester in fast):
-                        n_sound += 1
-                        continue
-                    # Second stage: the ordered loop over every template, so the
-                    # witness and the padding instabilities are those it finds.
-                    if testers is None:
-                        if templates is None:
-                            templates = (
-                                enumerate_compatible_templates(g, cfg.gamma_max, cap=1_000_000)
-                                if use_all
-                                else dense
-                            )
-                        testers = [BackdoorTester(t, q) for t in templates]
-                        padded = (
-                            [BackdoorTester(t, q, extra_padding=cfg.gamma_max + 1) for t in templates]
-                            if check_padding_stability
-                            else None
-                        )
-                    witness = None
-                    for j, tester in enumerate(testers):
-                        v = tester.check(z)
-                        if padded is not None:
-                            v_deep = padded[j].check(z)
-                            if v_deep != v:
-                                padding_instabilities += 1
-                                v = v_deep
-                        if not v:
-                            witness = templates[j]
-                            break
+                    witness, unstable = classical.witness(z)
+                    padding_instabilities += unstable
                     if witness is None:
                         n_sound += 1
                     else:
@@ -405,13 +396,13 @@ def soundness_experiment(
             rows.append(
                 GraphRow(
                     index, len(g.nodes), len(g.edges), gamma, verdict.kind.value,
-                    n_densest, full_count if use_all else None, False, n_checked, n_sound,
+                    templates.n_densest, templates.n_templates, False, n_checked, n_sound,
                 )
             )
 
     return SoundnessReport(
         config=cfg,
-        graphs_tested=graphs_tested,
+        graphs_tested=cfg.n_graphs - skipped,
         graphs_skipped_over_cap=skipped,
         sets_checked=sum(row.sets_checked for row in rows),
         sets_sound=sum(row.sets_sound for row in rows),
@@ -422,27 +413,31 @@ def soundness_experiment(
     )
 
 
+def _probe(g: SCG, q: MicroQuery, max_subset_size: int, templates: _GraphTemplates) -> list[AdjustmentSet]:
+    facts = query_facts(g, q)
+    if not facts.verdict.identifiable:
+        return []
+    classical = _ClassicalCheck(templates, q)
+    return [
+        z
+        for z in candidate_subsets(g, q, max_subset_size, exclude=facts.d)
+        if not scg_backdoor_check(g, q, z).satisfied and classical.valid(z)
+    ]
+
+
 def probe_graph(
-    g: SCG,
-    q: MicroQuery,
-    max_subset_size: int = 5,
-    cap: int | None = None,
+    g: SCG, q: MicroQuery, max_subset_size: int = 5, cap: int = TEMPLATE_CAP
 ) -> list[AdjustmentSet]:
     """Common-back-door sets the macro criterion rejects, on one graph.
 
     Candidates avoid the treatment's possible descendants (a common-valid set
-    must) and stay within the adjustment window; subset size is bounded.
+    must) and stay within the adjustment window; subset size is bounded.  An
+    over-cap graph raises ``TemplateCapExceeded`` once the criterion rejects
+    a candidate.
     """
-    facts = query_facts(g, q)
-    if not facts.verdict.identifiable:
-        return []
-    found: list[AdjustmentSet] = []
-    for z in candidate_subsets(g, q, max_subset_size, exclude=facts.d):
-        if scg_backdoor_check(g, q, z).satisfied:
-            continue
-        if common_backdoor_valid(g, q, z, cap=cap):
-            found.append(z)
-    return found
+    if max_subset_size < 0:
+        raise ValueError("max_subset_size must be >= 0")
+    return _probe(g, q, max_subset_size, _GraphTemplates(g, q.gamma_max, cap))
 
 
 @dataclass(frozen=True)
@@ -465,22 +460,21 @@ class ProbeReport:
         )
 
 
-def completeness_probe(cfg: CorpusConfig, gammas: tuple[int, ...] = (0, 1)) -> ProbeReport:
+def completeness_probe(cfg: CorpusConfig) -> ProbeReport:
     """Corpus-level search for valid-everywhere sets the criterion misses."""
     per_graph: list[dict] = []
-    total = 0
     skipped = 0
     for index in range(cfg.n_graphs):
         g = random_scg(cfg, index)
-        if count_densest_templates(g) > cfg.template_cap:
+        templates = _GraphTemplates(g, cfg.gamma_max, cfg.template_cap)
+        if templates.over_cap:
             skipped += 1
             continue
-        for gamma in gammas:
+        for gamma in (0, 1):
             q = MicroQuery("X", "Y", gamma, cfg.gamma_max)
-            if not identify(g, q).identifiable:
+            if not query_facts(g, q).verdict.identifiable:
                 continue
-            found = probe_graph(g, q, cfg.max_subset_size, cap=cfg.template_cap)
-            total += len(found)
+            found = _probe(g, q, cfg.max_subset_size, templates)
             per_graph.append(
                 {
                     "graph_index": index,
@@ -489,4 +483,5 @@ def completeness_probe(cfg: CorpusConfig, gammas: tuple[int, ...] = (0, 1)) -> P
                     "examples": [adjustment_set_to_obj(g, z) for z in found[:5]],
                 }
             )
+    total = sum(entry["n_found"] for entry in per_graph)
     return ProbeReport(cfg, tuple(per_graph), total, skipped)

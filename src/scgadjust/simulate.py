@@ -32,6 +32,12 @@ from .unroll import (
     enumerate_compatible_templates,
 )
 
+# Noise s.d. of every series, and the redraw bound and spectral-radius margin
+# of the coefficient draw.
+NOISE_SD = 1.0
+MAX_TRIES = 100
+STABILITY_MARGIN = 0.95
+
 
 class EstimationError(ValueError):
     """Regression cannot be run on this data/set combination."""
@@ -120,26 +126,24 @@ def sample_linear_model(
     coef_low: float = 0.1,
     coef_high: float = 0.9,
     seed: int = 0,
-    noise_sd: float = 1.0,
-    max_tries: int = 100,
-    stability_margin: float = 0.95,
 ) -> LinearDTDSCM:
-    """Draw signed coefficients with |c| in [coef_low, coef_high]; redraw until
-    the companion spectral radius clears the stability margin."""
+    """Draw signed coefficients with |c| in [coef_low, coef_high]; redraw, at
+    most ``MAX_TRIES`` times, until the companion spectral radius is below
+    ``STABILITY_MARGIN``.  Every series gets noise s.d. ``NOISE_SD``."""
     if not (0 < coef_low <= coef_high):
         raise ValueError("coefficient bounds must satisfy 0 < coef_low <= coef_high")
     rng = np.random.default_rng(np.random.SeedSequence([11, seed]))
     pairs = [(edge, lag) for edge, ls in tmpl.lag_entries for lag in ls]
-    noises = tuple((v, float(noise_sd)) for v in tmpl.scg.nodes)
-    for _ in range(max_tries):
+    noises = tuple((v, NOISE_SD) for v in tmpl.scg.nodes)
+    for _ in range(MAX_TRIES):
         coeffs = tuple(
             (pair, float(rng.uniform(coef_low, coef_high) * rng.choice((-1.0, 1.0))))
             for pair in pairs
         )
         model = LinearDTDSCM(tmpl, coeffs, noises)
-        if spectral_radius(model) < stability_margin:
+        if spectral_radius(model) < STABILITY_MARGIN:
             return model
-    raise InstabilityError(f"no stable draw within {max_tries} tries")
+    raise InstabilityError(f"no stable draw within {MAX_TRIES} tries")
 
 
 def generate(

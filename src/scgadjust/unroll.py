@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
+from math import prod
 from typing import Iterable, Iterator, NamedTuple
 
 from .graph import (
@@ -232,25 +233,11 @@ def _maximal_acyclic_subsets(nodes: tuple[str, ...], edges: list[tuple[str, str]
     return sorted(seen, key=lambda s: sorted(s))
 
 
-def count_densest_templates(g: SCG) -> int:
-    """Number of densest templates: the product over strongly connected
-    components of their maximal acyclic internal-edge choices."""
-    part = scc_partition(g)
-    comp = part.component_of
-    internal: dict[int, list[tuple[str, str]]] = {}
-    for (u, w) in g.edge_list:
-        if u != w and comp[u] == comp[w]:
-            internal.setdefault(comp[u], []).append((u, w))
-    count = 1
-    for idx, members in enumerate(part.components):
-        if idx in internal:
-            count *= len(_maximal_acyclic_subsets(members, internal[idx]))
-    return count
-
-
-def densest_templates(g: SCG, gamma_max: int) -> list[FTDagTemplate]:
-    """Templates with maximal lag sets: full lags everywhere, lag 0 kept on a
-    maximal acyclic edge choice within each strongly connected component."""
+def _zero_lag_choices(g: SCG) -> tuple[set[tuple[str, str]], list[list[frozenset[tuple[str, str]]]]]:
+    """The lag-0 edges of the densest templates: the non-self edges between
+    strongly connected components, which keep lag 0 in all of them, and for
+    each component with internal edges its maximal acyclic internal-edge
+    choices."""
     part = scc_partition(g)
     comp = part.component_of
     internal: dict[int, list[tuple[str, str]]] = {}
@@ -262,34 +249,29 @@ def densest_templates(g: SCG, gamma_max: int) -> list[FTDagTemplate]:
             internal.setdefault(comp[u], []).append((u, w))
         else:
             always_zero.add((u, w))
+    per_scc = [
+        _maximal_acyclic_subsets(members, internal[idx])
+        for idx, members in enumerate(part.components)
+        if idx in internal
+    ]
+    return always_zero, per_scc
 
-    per_scc: list[list[frozenset[tuple[str, str]]]] = []
-    for idx, members in enumerate(part.components):
-        if idx in internal:
-            per_scc.append(_maximal_acyclic_subsets(members, internal[idx]))
 
-    def build(zero_set: set[tuple[str, str]]) -> FTDagTemplate:
-        lags = {}
-        for edge in g.edge_list:
-            u, w = edge
-            if u == w:
-                lags[edge] = range(1, gamma_max + 1)
-            elif edge in zero_set or edge in always_zero:
-                lags[edge] = range(0, gamma_max + 1)
-            else:
-                lags[edge] = range(1, gamma_max + 1)
-        return make_template(g, gamma_max, lags)
+def count_densest_templates(g: SCG) -> int:
+    """Number of densest templates: the product over strongly connected
+    components of their maximal acyclic internal-edge choices."""
+    return prod(len(choices) for choices in _zero_lag_choices(g)[1])
 
+
+def densest_templates(g: SCG, gamma_max: int) -> list[FTDagTemplate]:
+    """Templates with maximal lag sets: full lags everywhere, lag 0 kept on a
+    maximal acyclic edge choice within each strongly connected component."""
+    always_zero, per_scc = _zero_lag_choices(g)
     results: list[FTDagTemplate] = []
-
-    def rec(i: int, acc: set[tuple[str, str]]) -> None:
-        if i == len(per_scc):
-            results.append(build(acc))
-            return
-        for subset in per_scc[i]:
-            rec(i + 1, acc | subset)
-
-    rec(0, set())
+    for choice in product(*per_scc):
+        zero = always_zero.union(*choice)
+        lags = {edge: range(0 if edge in zero else 1, gamma_max + 1) for edge in g.edge_list}
+        results.append(make_template(g, gamma_max, lags))
     return results
 
 

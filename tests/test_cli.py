@@ -71,18 +71,6 @@ class TestMalformedGraph:
         assert capsys.readouterr().err.startswith("error: ")
 
 
-class TestMalformedTemplateCap:
-    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
-    @pytest.mark.parametrize("command", ["identify", "validate"])
-    def test_exit_4(self, graph_file, monkeypatch, capsys, value, command):
-        monkeypatch.setenv("SCGADJUST_TEMPLATE_CAP", value)
-        argv = q_flags(graph_file) if command == "identify" else ["--n-graphs", "1"]
-        assert run([command, *argv]) == 4
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        assert err.startswith("error: SCGADJUST_TEMPLATE_CAP") and err.count("\n") == 1
-
-
 class TestColdImport:
     def test_graph_commands_skip_numpy(self):
         src = str(Path(scgadjust.__file__).resolve().parent.parent)
@@ -195,6 +183,16 @@ class TestProbe:
         assert payload["n_found"] >= 1
         assert [["U", 0], ["U", -1], ["R", -1], ["X", -1]] in payload["sets"]
 
+    @pytest.mark.parametrize("flags", [["--template-cap", "0"], ["--template-cap", "-3"],
+                                       ["--max-subset-size", "-1"]])
+    @pytest.mark.parametrize("mode", ["graph", "corpus"])
+    def test_bad_bound_exit_4(self, graph_file, capsys, flags, mode):
+        argv = ["--graph", graph_file, "--gamma", "1"] if mode == "graph" else ["--n-graphs", "2"]
+        assert run(["probe", *argv, *flags]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
 
 class TestSimulate:
     def test_small_run(self, graph_file, tmp_path, capsys):
@@ -298,6 +296,12 @@ SET_TEXT = st.one_of(
 )
 
 
+# Values of the numeric flags, in range half the time.  The flags that size
+# a template enumeration or a subset search stay small; the others reach 50.
+WIDE = st.integers(1, 50) | st.integers(-50, 50)
+SMALL = st.integers(1, 2) | st.integers(-2, 2)
+
+
 @pytest.fixture(scope="module")
 def fuzz_graph_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "graph.json"
@@ -322,6 +326,36 @@ class TestCliFuzz:
         ]
         if command == "check":
             argv.append(f"--set={z}")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        assert code in {0, 2, 3, 4, 5}
+        assert "Traceback" not in err.getvalue()
+        if code == 4:
+            assert err.getvalue().startswith("error: ")
+
+    @given(
+        command=st.sampled_from(["qopt", "unroll", "probe"]),
+        graph=wellformed_graphs().map(json.dumps),
+        data=st.data(),
+    )
+    @settings(max_examples=200)
+    def test_numeric_flags(self, fuzz_graph_path, command, graph, data):
+        def flag(name, values):
+            return f"--{name}={data.draw(values, label=name)}"
+
+        fuzz_graph_path.write_text(graph, encoding="utf-8")
+        argv = [command, f"--graph={fuzz_graph_path}"]
+        if command == "qopt":
+            argv += ["--treatment=X", "--outcome=Y", flag("gamma", WIDE), flag("gamma-max", WIDE)]
+        elif command == "unroll":
+            argv += [flag("gamma-max", SMALL), flag("template-cap", WIDE), flag("template-index", WIDE),
+                     flag("lo", WIDE), flag("hi", WIDE)]
+            if data.draw(st.booleans(), label="densest"):
+                argv.append("--densest")
+        else:
+            argv += [flag("gamma", SMALL), flag("gamma-max", SMALL), flag("template-cap", WIDE),
+                     flag("max-subset-size", SMALL)]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = run(argv)

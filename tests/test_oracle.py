@@ -1,13 +1,22 @@
 import hashlib
+import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scgadjust import MicroQuery, TemplateCapExceeded, VerdictKind, identify, validate_scg
+from scgadjust import MicroQuery, TemplateCapExceeded, VerdictKind, identify, scg_from_json, validate_scg
 from scgadjust import oracle
-from scgadjust.identify import BackdoorTester, CriterionReport, query_facts, scg_backdoor_check
+from scgadjust.identify import (
+    BackdoorTester,
+    CriterionReport,
+    adjustment_set_to_obj,
+    classical_backdoor_check,
+    query_facts,
+    scg_backdoor_check,
+)
 from scgadjust.oracle import (
     CorpusConfig,
     candidate_subsets,
@@ -17,9 +26,11 @@ from scgadjust.oracle import (
     random_scg,
     soundness_experiment,
 )
-from scgadjust.unroll import count_compatible_templates
+from scgadjust.unroll import count_compatible_templates, densest_templates, enumerate_compatible_templates
 
 from .conftest import query, small_scgs, zset
+
+GRAPHS_DIR = Path(__file__).resolve().parent.parent / "graphs"
 
 
 class TestRandomScg:
@@ -80,17 +91,16 @@ class TestCommonBackdoor:
     @given(small_scgs(max_nodes=4), st.integers(min_value=0, max_value=1), st.data())
     @settings(max_examples=40)
     def test_densest_route_equals_full_enumeration(self, g, gamma, data):
-        # The densest templates, and the undominated ones among them (the
-        # default), decide common validity exactly.
+        # The densest templates, and the undominated ones among them (what
+        # ``common_backdoor_valid`` checks), decide common validity exactly.
         q = MicroQuery(g.nodes[0], g.nodes[1], gamma, 1)
         if count_compatible_templates(g, 1, 200) > 200:
             return
         pool = sorted(candidate_subsets(g, q, 2))
         z = data.draw(st.sampled_from(pool))
-        full = common_backdoor_valid(g, q, z, cap=10_000, check_all_templates=True)
-        dense = common_backdoor_valid(g, q, z, cap=10_000, check_all_templates=False)
-        undominated = common_backdoor_valid(g, q, z, cap=10_000)
-        assert full == dense == undominated
+        full = all(classical_backdoor_check(t, q, z) for t in enumerate_compatible_templates(g, 1, 200))
+        dense = all(classical_backdoor_check(t, q, z) for t in densest_templates(g, 1))
+        assert full == dense == common_backdoor_valid(g, q, z, cap=10_000)
 
 
 def no_descendant_guard(g, q, z) -> CriterionReport:
@@ -105,6 +115,11 @@ def no_descendant_guard(g, q, z) -> CriterionReport:
 @pytest.fixture(scope="module")
 def small_report():
     return soundness_experiment(CorpusConfig(n_graphs=40, seed=7))
+
+
+@pytest.fixture(scope="module")
+def injected_bug_report():
+    return soundness_experiment(CorpusConfig(n_graphs=12, seed=7), checker=no_descendant_guard)
 
 
 class TestSoundness:
@@ -138,16 +153,11 @@ class TestSoundness:
         assert report.sets_checked == 20
         assert all(row.verdict == "NonAncestor" for row in report.rows)
 
-    def test_injected_bug_is_caught(self):
+    def test_injected_bug_is_caught(self, injected_bug_report):
         # A checker that loses the possible-descendant guard must be caught
         # by the classical side.
-        report = soundness_experiment(
-            CorpusConfig(n_graphs=12, seed=7),
-            checker=no_descendant_guard,
-            check_padding_stability=False,
-        )
-        assert len(report.counterexamples) > 0
-        assert report.sets_sound < report.sets_checked
+        assert len(injected_bug_report.counterexamples) > 0
+        assert injected_bug_report.sets_sound < injected_bug_report.sets_checked
 
 
 class TestPinnedValidateBytes:
@@ -155,7 +165,7 @@ class TestPinnedValidateBytes:
 
     The injected-bug corpus yields thousands of counterexamples, so its digest
     pins the witness template the in-order fallback reports for each failing
-    set; it is the same with and without the padding re-check.
+    set.
     """
 
     @staticmethod
@@ -167,15 +177,9 @@ class TestPinnedValidateBytes:
             "d2e5c4bd7bfd4e35aa589232a552fbff522f49298aa80c5f69776e3dc37eba81"
         )
 
-    @pytest.mark.parametrize("padding", [True, False])
-    def test_injected_bug_corpus(self, padding):
-        report = soundness_experiment(
-            CorpusConfig(n_graphs=12, seed=7),
-            checker=no_descendant_guard,
-            check_padding_stability=padding,
-        )
-        assert len(report.counterexamples) == 10_787
-        assert self.digest(report) == (
+    def test_injected_bug_corpus(self, injected_bug_report):
+        assert len(injected_bug_report.counterexamples) == 10_787
+        assert self.digest(injected_bug_report) == (
             "1a83eb874fea326fc03630d15cdb3306bc98fb860bebae7c01abffb3ce4d1fe1"
         )
 
@@ -280,3 +284,28 @@ class TestCompletenessProbe:
         assert report.total_found >= 0
         assert all(entry["n_found"] >= 0 for entry in report.per_graph)
         assert report.to_json() == completeness_probe(cfg).to_json()
+
+
+class TestPinnedProbeBytes:
+    """SHA-256 of the completeness probe's output, on a corpus and on every
+    worked graph, so that a rewrite of the oracle keeps every found set and
+    its order."""
+
+    def test_corpus_probe(self):
+        report = completeness_probe(CorpusConfig(n_graphs=40, seed=7, max_subset_size=3))
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
+            "d6abc511c72de3637a3f0827526e9326415614181092fe5236a28ebda75f020f"
+        )
+
+    def test_worked_graphs(self):
+        found = {}
+        for path in sorted(GRAPHS_DIR.glob("*.json")):
+            g = scg_from_json(path.read_text(encoding="utf-8"))
+            for gamma_max in (1, 2):
+                for gamma in (0, 1):
+                    sets = probe_graph(g, MicroQuery("X", "Y", gamma, gamma_max), max_subset_size=4)
+                    found[f"{path.stem}:{gamma}:{gamma_max}"] = [adjustment_set_to_obj(g, z) for z in sets]
+        text = json.dumps(found, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "e7282bfdccffeabc0106e2c430429904e77a291ff1d6c4feea6f89c542f20cdd"
+        )
