@@ -13,13 +13,23 @@ replicate-major view of it with the same bytes as a replicate-by-replicate
 simulation.  Each regression is one Householder QR of the augmented design,
 and the experiment estimates each distinct set once per dataset, however many
 names refer to it.
+
+Every dataset has its own seed, so the experiment runs a block's datasets on
+one thread per CPU the process may run on (its affinity mask, as set for
+example with ``taskset``).  The normal draws, the array arithmetic and LAPACK
+release the GIL.  Results are taken in dataset order, so the report has the
+same bytes whatever the number of CPUs.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import os
+import threading
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -37,6 +47,9 @@ from .unroll import (
 NOISE_SD = 1.0
 MAX_TRIES = 100
 STABILITY_MARGIN = 0.95
+# Noise values drawn per call in ``generate``: 128 KiB, which stays in cache
+# while it is scaled into the time-major array.
+NOISE_CHUNK_CELLS = 1 << 14
 
 
 class EstimationError(ValueError):
@@ -151,11 +164,12 @@ def generate(
 ) -> Dataset:
     """Simulate replicates independently and drop the burn-in slices.
 
-    The noise is drawn replicate-major, then scaled and copied in one pass
-    into a time-major array, so that each (time, series) cell is one
-    contiguous vector over the replicates.  The recursion steps there, one
-    ``dst += c * src`` per coefficient in lag-0 topological order, through a
-    reused buffer; the result is a ``(replicates, horizon, series)`` view.
+    The noise is drawn replicate-major, a few replicates at a time into one
+    reused buffer (the same stream as a single draw of every value), and each
+    chunk is scaled into a time-major array, so that each (time, series) cell
+    is one contiguous vector over the replicates.  The recursion steps there,
+    one ``dst += c * src`` per coefficient in lag-0 topological order, through
+    a reused buffer; the result is a ``(replicates, horizon, series)`` view.
     """
     if horizon < 1 or burn_in < 0 or n_replicates < 1:
         raise ValueError("need horizon >= 1, burn_in >= 0, n_replicates >= 1")
@@ -171,10 +185,14 @@ def generate(
 
     sds = np.array([model.noise_sd[v] for v in g.nodes])
     rng = np.random.default_rng(np.random.SeedSequence([13, seed]))
-    noise = rng.normal(size=(n_replicates, total, d))
     values = np.empty((total, d, n_replicates))
-    np.multiply(noise.transpose(1, 2, 0), sds[:, None], out=values)
-    del noise
+    per_chunk = max(1, NOISE_CHUNK_CELLS // (total * d))
+    noise = np.empty((min(per_chunk, n_replicates), total, d))
+    for lo in range(0, n_replicates, per_chunk):
+        hi = min(lo + per_chunk, n_replicates)
+        chunk = noise[: hi - lo]
+        rng.standard_normal(out=chunk)
+        np.multiply(chunk.transpose(1, 2, 0), sds[:, None], out=values[:, :, lo:hi])
     buf = np.empty(n_replicates)
     for t in range(total):
         for col, src, lag, c in steps:
@@ -251,6 +269,57 @@ def ols_effect(data: Dataset, q: MicroQuery, z: AdjustmentSet) -> EffectEstimate
     return EffectEstimate(point=float(beta[1]), set_used=frozenset(z), n=n, stderr=stderr)
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_in_order(fn: Callable, items: Sequence, workers: int) -> list:
+    """``[fn(item) for item in items]`` on ``workers`` threads, the calling
+    thread among them; every thread is joined before this returns or raises.
+
+    Items are handed out in list order and none after a failure, so every
+    item before a failed one has run: the failure raised, the earliest in the
+    list, is the one the plain loop would raise."""
+    results: list = [None] * len(items)
+    failures: dict[int, Exception] = {}
+    lock = threading.Lock()
+    pending = iter(range(len(items)))
+
+    def work() -> None:
+        nonlocal pending
+        while True:
+            with lock:
+                i = next(pending, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(items[i])
+            except Exception as exc:
+                with lock:
+                    failures[i] = exc
+                    pending = iter(())
+                return
+
+    threads: list[threading.Thread] = []
+    try:
+        for _ in range(workers - 1):
+            threads.append(threading.Thread(target=work))
+            threads[-1].start()
+        work()
+    finally:
+        with lock:
+            pending = iter(())
+        for thread in threads:
+            thread.join()
+    if failures:
+        raise failures[min(failures)]
+    return results
+
+
 def variance_experiment(
     g: SCG,
     q: MicroQuery,
@@ -270,9 +339,10 @@ def variance_experiment(
     Each block samples one linear model over a compatible template and
     simulates ``reps // blocks`` independent datasets of ``n`` replicates;
     every distinct set is estimated once on every dataset, and names bound to
-    equal sets share that estimate.  The per-set aggregate variance is the
-    mean of within-block variances, so between-model effect heterogeneity does
-    not contaminate the comparison.
+    equal sets share that estimate.  A block's datasets run on one thread per
+    available CPU, and their estimates are taken in dataset order.  The
+    per-set aggregate variance is the mean of within-block variances, so
+    between-model effect heterogeneity does not contaminate the comparison.
     """
     if blocks < 1 or reps % blocks != 0:
         raise ValueError("reps must be divisible by blocks")
@@ -298,16 +368,20 @@ def variance_experiment(
     errors: dict[str, list[float]] = {name: [] for name in names}
     block_vars: dict[str, list[float]] = {name: [] for name in names}
     picker = np.random.default_rng(np.random.SeedSequence([17, seed]))
+    workers = min(_available_cpus(), reps_per_block)
+
+    def estimate(model: LinearDTDSCM, data_seed: int) -> dict[AdjustmentSet, float]:
+        data = generate(model, n, horizon, burn_in, seed=data_seed)
+        return {z: ols_effect(data, q, z).point for z in distinct}
 
     for b in range(blocks):
         tmpl = templates[int(picker.integers(len(templates)))]
         model = sample_linear_model(tmpl, coef_low, coef_high, seed=seed * 1000 + b)
         truth = true_effect(model, q)
         block_points: dict[str, list[float]] = {name: [] for name in names}
-        for r in range(reps_per_block):
-            data_seed = (seed * blocks + b) * reps_per_block + r
-            data = generate(model, n, horizon, burn_in, seed=data_seed)
-            estimates = {z: ols_effect(data, q, z).point for z in distinct}
+        first_seed = (seed * blocks + b) * reps_per_block
+        data_seeds = range(first_seed, first_seed + reps_per_block)
+        for estimates in _map_in_order(partial(estimate, model), data_seeds, workers):
             for name in names:
                 point = estimates[sets[name]]
                 block_points[name].append(point)

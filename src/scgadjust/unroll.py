@@ -174,7 +174,10 @@ def _nonempty_lag_subsets(gamma_max: int, self_loop: bool) -> list[tuple[int, ..
 
 
 def iter_compatible_templates(g: SCG, gamma_max: int) -> Iterator[FTDagTemplate]:
-    """Lazily enumerate every compatible template, in a deterministic order."""
+    """Lazily enumerate every compatible template, in a deterministic order;
+    a ``gamma_max`` below 1 raises at once."""
+    if gamma_max < 1:
+        raise TemplateError("gamma_max must be >= 1")
     edges = g.edge_list
     choices = [_nonempty_lag_subsets(gamma_max, u == w) for (u, w) in edges]
     chosen: list[tuple[int, ...]] = []
@@ -196,7 +199,7 @@ def iter_compatible_templates(g: SCG, gamma_max: int) -> Iterator[FTDagTemplate]
                 zero_children[u].discard(w)
             chosen.pop()
 
-    yield from rec(0)
+    return rec(0)
 
 
 def enumerate_compatible_templates(g: SCG, gamma_max: int, cap: int) -> list[FTDagTemplate]:

@@ -132,6 +132,18 @@ class TestUnroll:
         assert "W@-1 -> X@-1" in out
         assert "X@0 -> Y@0" in out
 
+    @pytest.mark.parametrize("densest", [False, True])
+    @pytest.mark.parametrize("edges", [[["X", "Y"]], [["X", "Y"], ["Y", "X"]]], ids=["edge", "2-cycle"])
+    def test_gamma_max_zero_exit_4(self, tmp_path, capsys, edges, densest):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"nodes": ["X", "Y"], "edges": edges}))
+        argv = ["unroll", "--graph", str(path), "--gamma-max", "0"]
+        code = run(argv + ["--densest"] if densest else argv)
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err == "error: gamma_max must be >= 1\n"
+
     def test_over_cap_exit_5(self, feedback_file):
         code = run(
             ["unroll", "--graph", feedback_file, "--gamma-max", "1", "--template-cap", "3"]

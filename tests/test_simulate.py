@@ -1,5 +1,9 @@
 import hashlib
+import json
 import math
+import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +13,7 @@ from scgadjust import (
     MicroQuery,
     QueryError,
     TemporalVar,
+    canonical_sets,
     make_template,
     qopt,
     scg_from_json,
@@ -122,6 +127,40 @@ class TestPinnedGenerateBytes:
                     values.update(data.values.tobytes())
                     text.update(dataset_to_csv(data).encode())
         assert (values.hexdigest(), text.hexdigest()) == (self.VALUES_DIGEST, self.CSV_DIGEST)
+
+
+class TestPinnedVarianceBytes:
+    """The JSON of ``variance_experiment`` with every canonical set, on two
+    sample graphs at two seeds and sizes, reduced to one SHA-256.  However the
+    datasets are scheduled, the report must not move a single byte."""
+
+    DIGEST = "cfd220b52daf417dd6e1330db7613ca2f37ec381f9fca208920a80576bc1f67b"
+    # seed -> reps, at n 300 over 5 blocks
+    REPS = {3: 10, 5: 20}
+
+    def digest(self) -> str:
+        text = hashlib.sha256()
+        for name in ("persistence_chain", "cycle_pair_confounded"):
+            g = scg_from_json((GRAPHS_DIR / f"{name}.json").read_text(encoding="utf-8"))
+            q = query(gamma=1)
+            sets = canonical_sets(g, q)
+            for seed, reps in self.REPS.items():
+                report = variance_experiment(g, q, sets, n=300, reps=reps, seed=seed, blocks=5)
+                text.update(json.dumps(report, sort_keys=True).encode())
+        return text.hexdigest()
+
+    def test_digest(self):
+        assert self.digest() == self.DIGEST
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_any_cpu_count(self, monkeypatch, cpus):
+        # One worker runs every dataset on the calling thread.  Three are
+        # capped at the 2 datasets per block of reps 10 and run as three
+        # threads over the 4 of reps 20.
+        import scgadjust.simulate as simulate
+
+        monkeypatch.setattr(simulate, "_available_cpus", lambda: cpus)
+        assert self.digest() == self.DIGEST
 
 
 def _paths_effect_bruteforce(model: LinearDTDSCM, q: MicroQuery) -> float:
@@ -393,3 +432,108 @@ class TestVarianceExperiment:
             variance_experiment(
                 persistence_chain, q, {"bad": frozenset()}, n=100, reps=4, seed=1, blocks=2
             )
+
+
+def _bounded(fn, timeout=60.0):
+    """``fn()`` on a helper thread that must end within ``timeout`` seconds:
+    a hang fails the test instead of stalling the suite.  Returns what
+    ``fn`` returned, or raises what it raised."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["value"] = fn()
+        except Exception as exc:
+            outcome["error"] = exc
+
+    helper = threading.Thread(target=target, daemon=True)
+    helper.start()
+    helper.join(timeout)
+    assert not helper.is_alive(), f"no result within {timeout} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
+class TestMapInOrder:
+    def test_stress_more_workers_than_cpus(self):
+        # A tiny switch interval makes the threads interleave at almost every
+        # bytecode; every item must still run exactly once, in list order in
+        # the result.
+        import scgadjust.simulate as simulate
+
+        calls = []
+
+        def square(x):
+            calls.append(x)
+            return x * x
+
+        items = range(3000)
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = _bounded(lambda: simulate._map_in_order(square, items, 8))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [x * x for x in items]
+        assert sorted(calls) == list(items)
+        assert threading.active_count() == before
+
+
+class TestVarianceExperimentErrors:
+    """A failing dataset ends the experiment with the error the dataset loop
+    raises in order, and leaves no worker thread behind."""
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_rank_deficient_set(self, persistence_chain, monkeypatch, cpus):
+        import scgadjust.simulate as simulate
+
+        monkeypatch.setattr(simulate, "_available_cpus", lambda: cpus)
+        q = query(gamma=1)
+        before = threading.active_count()
+        with pytest.raises(EstimationError) as exc:
+            _bounded(
+                lambda: variance_experiment(
+                    persistence_chain,
+                    q,
+                    {"bad": zset(("X", -1))},
+                    n=200,
+                    reps=8,
+                    seed=1,
+                    blocks=2,
+                    validate_sets=False,
+                )
+            )
+        assert str(exc.value) == "design matrix is rank deficient"
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_earliest_dataset_failure_raised(self, persistence_chain, monkeypatch, cpus):
+        import scgadjust.simulate as simulate
+
+        monkeypatch.setattr(simulate, "_available_cpus", lambda: cpus)
+        real = simulate.generate
+        seen = []
+
+        # Block 0 of seed 2 at 4 datasets per block has data seeds 16-19.
+        # Seed 17 fails after seed 19 has failed, when they run side by side.
+        def failing(model, n, horizon, burn_in, seed):
+            seen.append(seed)
+            if seed == 17:
+                time.sleep(0.2)
+            if seed in (17, 19):
+                raise RuntimeError(f"dataset {seed}")
+            return real(model, n, horizon, burn_in, seed)
+
+        monkeypatch.setattr(simulate, "generate", failing)
+        q = query(gamma=1)
+        before = threading.active_count()
+        sets = {"qopt": qopt(persistence_chain, q)}
+        with pytest.raises(RuntimeError, match="^dataset 17$"):
+            _bounded(lambda: variance_experiment(persistence_chain, q, sets, n=200, reps=8, seed=2, blocks=2))
+        assert threading.active_count() == before
+        # No dataset of the next block was started.
+        assert set(seen) <= {16, 17, 18, 19}
+        if cpus == 1:
+            assert seen == [16, 17]

@@ -27,6 +27,7 @@ from scgadjust.oracle import CorpusConfig, random_scg
 from scgadjust.unroll import (
     count_compatible_templates,
     count_densest_templates,
+    iter_compatible_templates,
     sort_temporal,
     undominated_templates,
 )
@@ -89,6 +90,18 @@ class TestEnumeration:
             enumerate_compatible_templates(cycle_pair_confounded, 1, cap=10)
         assert exc.value.cap == 10
         assert exc.value.partial_count == 11
+
+    @pytest.mark.parametrize("gamma_max", [0, -1])
+    def test_gamma_max_below_one_rejected(self, single_edge, cycle_pair_confounded, gamma_max):
+        # Raised on the call, before any template is asked for, and the same
+        # whether or not the graph has a template at that gamma_max.
+        for g in (single_edge, cycle_pair_confounded):
+            with pytest.raises(TemplateError, match="gamma_max must be >= 1"):
+                iter_compatible_templates(g, gamma_max)
+            with pytest.raises(TemplateError, match="gamma_max must be >= 1"):
+                enumerate_compatible_templates(g, gamma_max, cap=10)
+            with pytest.raises(TemplateError, match="gamma_max must be >= 1"):
+                count_compatible_templates(g, gamma_max, 10)
 
     def test_deterministic(self, cycle_pair_confounded):
         a = enumerate_compatible_templates(cycle_pair_confounded, 1, cap=50)
