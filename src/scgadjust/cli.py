@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -196,7 +197,11 @@ def cmd_probe(args) -> int:
 
 def cmd_simulate(args) -> int:
     # numpy is loaded here only, so the graph-only commands start faster.
-    from .simulate import dataset_to_csv, generate, sample_linear_model, variance_experiment
+    # Before it loads: one BLAS thread unless the user set a count, since the
+    # experiment already runs one dataset per CPU.
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
+    from .simulate import BURN_IN, dataset_to_csv, generate, sample_linear_model, variance_experiment
 
     g = _load_graph(args.graph)
     q = _query(args)
@@ -218,7 +223,7 @@ def cmd_simulate(args) -> int:
     if args.dump_data:
         tmpl = densest_templates(g, q.gamma_max)[0]
         model = sample_linear_model(tmpl, seed=args.seed)
-        data = generate(model, args.n, q.gamma + q.gamma_max + 1, 25, args.seed)
+        data = generate(model, args.n, q.gamma + q.gamma_max + 1, BURN_IN, args.seed)
         Path(args.dump_data).write_text(dataset_to_csv(data), encoding="utf-8")
     return EXIT_OK
 

@@ -138,65 +138,40 @@ def extended_causal_nodes(g: SCG, x: str, y: str) -> frozenset[str]:
     return _close_under_components(scc_partition(g), causal_nodes(g, x, y))
 
 
-def _backdoor_path_data(g: SCG, x: str, y: str) -> tuple[tuple[frozenset[str], frozenset[str]], ...]:
-    """(nodes, colliders) for every simple back-door path from x to y.
+def _open_backdoor_ecn(
+    g: SCG, x: str, y: str, targets: frozenset[str], series: frozenset[str]
+) -> frozenset[str]:
+    """Members of ``targets`` on some simple back-door path from ``x`` to ``y``
+    whose colliders all lie in ``series``.
 
-    A step may traverse an edge in either direction; the first step must use
-    an edge pointing into x.  Colliders are interior nodes whose two path
-    edges both point at them.
+    One depth-first search over simple paths: the first step follows an edge
+    into ``x``, later steps an edge in either direction.  A node is a collider
+    when both its path edges point into it, so a step back along an edge into
+    a node that was itself entered is taken only when the node is in
+    ``series``.  The search stops once every target has a witness.
     """
-    fwd, bwd = g._children, g._parents
-    found: set[tuple[frozenset[str], frozenset[str]]] = set()
-    path: list[str] = [x]
-    # entered[i] is True when step i's edge points into path[i].
-    entered: list[bool] = [False]
+    if not targets:
+        return frozenset()
+    children, parents = g._children, g._parents
+    found: set[str] = set()
+    on_path = {x}
 
-    # Later steps skip self-loops through the ``w not in path`` test.
-    def extend(v: str) -> None:
+    # ``entered``: the step that reached ``v`` followed an edge into ``v``.
+    def walk(v: str, entered: bool) -> bool:
+        on_path.add(v)
         if v == y:
-            # A collider is entered by its own step and by the next one.
-            colliders = frozenset(
-                path[i] for i in range(1, len(path) - 1) if entered[i] and not entered[i + 1]
+            found.update(targets & on_path)
+            done = len(found) == len(targets)
+        else:
+            done = any(walk(w, True) for w in children[v] if w not in on_path) or (
+                (not entered or v in series)
+                and any(walk(w, False) for w in parents[v] if w not in on_path)
             )
-            found.add((frozenset(path), colliders))
-            return
-        for w in fwd[v]:
-            if w not in path:
-                path.append(w)
-                entered.append(True)
-                extend(w)
-                path.pop()
-                entered.pop()
-        for w in bwd[v]:
-            if w not in path:
-                path.append(w)
-                entered.append(False)
-                extend(w)
-                path.pop()
-                entered.pop()
+        on_path.discard(v)
+        return done
 
-    for first in bwd[x]:
-        if first == x:
-            continue
-        if first == y:
-            found.add((frozenset([x, y]), frozenset()))
-            continue
-        path.append(first)
-        entered.append(False)
-        extend(first)
-        path.pop()
-        entered.pop()
-    return tuple(sorted(found, key=lambda nc: (sorted(nc[0]), sorted(nc[1]))))
-
-
-def _open_backdoor_ecn(ecn: frozenset[str], paths, series: frozenset[str]) -> frozenset[str]:
-    """Members of ``ecn`` on the back-door ``paths`` (as ``_backdoor_path_data``
-    gives them) whose colliders all lie in ``series``."""
-    out: set[str] = set()
-    for nodes, colliders in paths:
-        if colliders <= series:
-            out |= nodes & ecn
-    return frozenset(out)
+    any(walk(w, False) for w in parents[x] if w != x)
+    return frozenset(found)
 
 
 def backdoor_restricted_ecn(g: SCG, x: str, y: str, z2: Iterable[TemporalVar]) -> frozenset[str]:
@@ -204,8 +179,7 @@ def backdoor_restricted_ecn(g: SCG, x: str, y: str, z2: Iterable[TemporalVar]) -
     whose colliders all have a temporal instance in ``z2``."""
     series = frozenset(tv.series for tv in z2)
     g.check_nodes(series)
-    ecn = extended_causal_nodes(g, x, y)
-    return _open_backdoor_ecn(ecn, _backdoor_path_data(g, x, y), series)
+    return _open_backdoor_ecn(g, x, y, extended_causal_nodes(g, x, y), series)
 
 
 @dataclass(frozen=True)
@@ -242,11 +216,12 @@ PARTITION_CYCLE_CAVEAT = (
 class _QueryFacts:
     """Everything the macro layer derives from one (graph, query) pair.
 
-    ``query_facts`` keeps one instance per pair and is the only per-query
-    cache.  The verdict and the possible descendants are computed up front;
-    the rest on first use, so a query that is not identifiable or has a
-    non-ancestor treatment, or a set rejected on the descendant clash,
-    never enumerates a simple path.
+    ``query_facts`` keeps the instance of the most recent pair and is the
+    only per-query cache: callers finish one query before the next, so an
+    older query's facts are never needed again.  The verdict and the
+    possible descendants are computed up front; the rest on first use, so a
+    query that is not identifiable or has a non-ancestor treatment, or a set
+    rejected on the descendant clash, never searches a simple path.
     """
 
     def __init__(self, g: SCG, q: MicroQuery):
@@ -269,10 +244,6 @@ class _QueryFacts:
     @cached_property
     def ecn(self) -> frozenset[str]:
         return _close_under_components(self.scc, self.cn)
-
-    @cached_property
-    def backdoor_paths(self) -> tuple[tuple[frozenset[str], frozenset[str]], ...]:
-        return _backdoor_path_data(self.g, self.q.treatment, self.q.outcome)
 
     @cached_property
     def descendant_labels(self) -> tuple[dict[TemporalVar, int], dict[TemporalVar, str]]:
@@ -328,10 +299,13 @@ class _QueryFacts:
         """The mandated part Z1 when the free part opens the colliders of
         ``opened_series``: parents of the causal nodes and of the extended
         causal nodes on the back-door paths it opens, less the possible
-        descendants.  Memoised per series set."""
+        descendants.  Memoised per series set.  Only the extended causal
+        nodes that are not causal nodes need a back-door witness: the causal
+        nodes' parents are mandated anyway."""
         z1 = self._z1.get(opened_series)
         if z1 is None:
-            ecnbd = _open_backdoor_ecn(self.ecn, self.backdoor_paths, opened_series)
+            x, y = self.q.treatment, self.q.outcome
+            ecnbd = _open_backdoor_ecn(self.g, x, y, self.ecn - self.cn, opened_series)
             z1 = instantiate(self.g.parents_of_set(self.cn | ecnbd), self.floor, 0) - self.d
             self._z1[opened_series] = z1
         return z1
@@ -370,13 +344,13 @@ class _QueryFacts:
         return base, all_x, all_y
 
 
-@lru_cache(maxsize=2048)
+@lru_cache(maxsize=1)
 def window_vars(nodes: tuple[str, ...], floor: int) -> AdjustmentSet:
     """Every series at every offset of the adjustment window [floor, 0]."""
     return instantiate(nodes, floor, 0)
 
 
-@lru_cache(maxsize=2048)
+@lru_cache(maxsize=1)
 def query_facts(g: SCG, q: MicroQuery) -> _QueryFacts:
     return _QueryFacts(g, q)
 

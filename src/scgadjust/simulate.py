@@ -47,6 +47,9 @@ from .unroll import (
 NOISE_SD = 1.0
 MAX_TRIES = 100
 STABILITY_MARGIN = 0.95
+# Slices simulated and dropped before the kept ones, in the variance
+# experiment and in ``simulate --dump-data``.
+BURN_IN = 25
 # Noise values drawn per call in ``generate``: 128 KiB, which stays in cache
 # while it is scaled into the time-major array.
 NOISE_CHUNK_CELLS = 1 << 14
@@ -330,7 +333,6 @@ def variance_experiment(
     blocks: int = 5,
     coef_low: float = 0.1,
     coef_high: float = 0.9,
-    burn_in: int = 25,
     template: FTDagTemplate | None = None,
     validate_sets: bool = True,
 ) -> dict:
@@ -371,7 +373,7 @@ def variance_experiment(
     workers = min(_available_cpus(), reps_per_block)
 
     def estimate(model: LinearDTDSCM, data_seed: int) -> dict[AdjustmentSet, float]:
-        data = generate(model, n, horizon, burn_in, seed=data_seed)
+        data = generate(model, n, horizon, BURN_IN, seed=data_seed)
         return {z: ols_effect(data, q, z).point for z in distinct}
 
     for b in range(blocks):

@@ -164,13 +164,12 @@ def macro_projection(tmpl: FTDagTemplate) -> SCG:
     return SCG(tmpl.scg.nodes, frozenset(edge for edge, ls in tmpl.lag_entries if ls))
 
 
-def _nonempty_lag_subsets(gamma_max: int, self_loop: bool) -> list[tuple[int, ...]]:
-    lo = 1 if self_loop else 0
-    values = list(range(lo, gamma_max + 1))
-    subsets: list[tuple[int, ...]] = []
+def _nonempty_lag_subsets(gamma_max: int, self_loop: bool) -> Iterator[tuple[int, ...]]:
+    """The non-empty lag sets of one edge, by size and then in
+    ``combinations`` order, yielded one at a time."""
+    values = range(1 if self_loop else 0, gamma_max + 1)
     for k in range(1, len(values) + 1):
-        subsets.extend(combinations(values, k))
-    return sorted(subsets, key=lambda s: (len(s), s))
+        yield from combinations(values, k)
 
 
 def iter_compatible_templates(g: SCG, gamma_max: int) -> Iterator[FTDagTemplate]:
@@ -179,16 +178,27 @@ def iter_compatible_templates(g: SCG, gamma_max: int) -> Iterator[FTDagTemplate]
     if gamma_max < 1:
         raise TemplateError("gamma_max must be >= 1")
     edges = g.edge_list
-    choices = [_nonempty_lag_subsets(gamma_max, u == w) for (u, w) in edges]
     chosen: list[tuple[int, ...]] = []
     zero_children: dict[str, set[str]] = {v: set() for v in g.nodes}
+    # The lag sets of a kind of edge (self-loop or not) are listed as the walk
+    # reads them and kept once read to the end: a walk stopped after a few
+    # templates lists a few lag sets, not all 2**gamma_max of them.  A kept
+    # list is never empty, since gamma_max >= 1.
+    kept: dict[bool, list[tuple[int, ...]]] = {}
+
+    def listing(self_loop: bool) -> Iterator[tuple[int, ...]]:
+        listed = []
+        for subset in _nonempty_lag_subsets(gamma_max, self_loop):
+            listed.append(subset)
+            yield subset
+        kept[self_loop] = listed
 
     def rec(i: int) -> Iterator[FTDagTemplate]:
         if i == len(edges):
             yield FTDagTemplate(g, gamma_max, tuple(zip(edges, chosen)))
             return
         u, w = edges[i]
-        for subset in choices[i]:
+        for subset in kept.get(u == w) or listing(u == w):
             if 0 in subset and u in closure(zero_children, [w]):
                 continue
             chosen.append(subset)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
@@ -23,6 +25,27 @@ def tv(series: str, offset: int) -> TemporalVar:
 
 def zset(*pairs) -> frozenset:
     return frozenset(TemporalVar(s, o) for (s, o) in pairs)
+
+
+def bounded(fn, timeout=60.0):
+    """``fn()`` on a helper thread that must end within ``timeout`` seconds:
+    a hang fails the test instead of stalling the suite.  Returns what
+    ``fn`` returned, or raises what it raised."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["value"] = fn()
+        except Exception as exc:
+            outcome["error"] = exc
+
+    helper = threading.Thread(target=target, daemon=True)
+    helper.start()
+    helper.join(timeout)
+    assert not helper.is_alive(), f"no result within {timeout} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
 
 
 def self_loops(*names):

@@ -150,6 +150,10 @@ class TestUnroll:
         )
         assert code == 5
 
+    def test_over_cap_at_large_gamma_max_exit_5(self, graph_file, capsys):
+        assert run(["unroll", "--graph", graph_file, "--gamma-max", "40"]) == 5
+        assert capsys.readouterr().out == ""
+
     def test_missing_file_exit_4(self):
         assert run(["identify", *q_flags("/nonexistent/g.json")]) == 4
 
@@ -229,6 +233,21 @@ class TestSimulate:
         code = run(["simulate", *q_flags(graph_file), "--sets", "nope", "--n", "100",
                     "--reps", "4", "--blocks", "2"])
         assert code == 4
+
+    BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+    def test_one_blas_thread_by_default(self, graph_file, monkeypatch, capsys):
+        for var in self.BLAS_VARS:
+            monkeypatch.delenv(var, raising=False)
+        assert run(["simulate", *q_flags(graph_file), "--n", "300", "--reps", "10"]) == 0
+        assert [os.environ.get(var) for var in self.BLAS_VARS] == ["1", "1", "1"]
+
+    def test_user_blas_thread_count_kept(self, graph_file, monkeypatch, capsys):
+        for var in self.BLAS_VARS:
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        assert run(["simulate", *q_flags(graph_file), "--n", "300", "--reps", "10"]) == 0
+        assert [os.environ.get(var) for var in self.BLAS_VARS] == ["1", "3", "1"]
 
 
 class TestDeterminism:

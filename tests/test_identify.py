@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -40,7 +41,7 @@ from scgadjust.graph import closure, cycle_profile, scc_of
 from scgadjust.identify import BackdoorTester, query_facts
 from scgadjust.unroll import d_separated_bruteforce, instantiate, padded_window, unroll
 
-from .conftest import query, small_scgs, tv, zset
+from .conftest import bounded, query, small_scgs, tv, zset
 
 
 class TestVerdicts:
@@ -471,6 +472,32 @@ class TestCanonicalSets:
 GRAPHS_DIR = Path(__file__).resolve().parent.parent / "graphs"
 
 
+# The first CondA query at gamma 0 with two or more parents on the treatment
+# among draws of 20-node SCGs (``random.Random(20)``, each ordered pair u != w
+# an edge with probability 0.16): draw 167, 70 edges, children by parent.
+SEVENTY_EDGE_CHILDREN = {
+    "X": "V3 V4 V8 V11 V16",
+    "Y": "V6 V9",
+    "V2": "V3 V10 V12 V15 V17 V19",
+    "V3": "Y V14 V15",
+    "V4": "Y V3 V6 V8 V14",
+    "V5": "X V7 V11",
+    "V6": "V2 V13 V14 V19",
+    "V7": "X V3 V4 V8",
+    "V8": "Y V17 V18",
+    "V9": "V8 V10 V11",
+    "V10": "V3 V4 V8 V15",
+    "V11": "V8 V13 V16 V18",
+    "V12": "Y V10 V16",
+    "V13": "V10 V11",
+    "V14": "V2 V8 V9 V11 V18",
+    "V15": "V8 V12 V14",
+    "V16": "V3 V14",
+    "V17": "Y V3 V4 V9 V10 V11 V13",
+    "V19": "V4 V17",
+}
+
+
 def _sparse_scg(n: int, p: float, seed: int):
     rng = random.Random(f"sparse-scg:{seed}")
     names = ["X", "Y"] + [f"V{i}" for i in range(2, n)]
@@ -519,6 +546,17 @@ class TestMacroPathEnumeratesNoTemplates:
             verdict, report = self.answer(g, MicroQuery("X", "Y", gamma, 1))
             assert verdict.kind is VerdictKind.COND_A
             assert report.satisfied
+
+    def test_seventy_edge_scg(self):
+        # Listing every back-door path class of this query did not end within
+        # 120 s; the answer must come within seconds.
+        names = ["X", "Y"] + [f"V{i}" for i in range(2, 20)]
+        edges = [(u, w) for u, ws in SEVENTY_EDGE_CHILDREN.items() for w in ws.split()]
+        g = validate_scg(names, edges)
+        assert len(g.edges) == 70
+        verdict, report = bounded(lambda: self.answer(g, MicroQuery("X", "Y", 0, 1)), timeout=10.0)
+        assert verdict.kind is VerdictKind.COND_A
+        assert report.satisfied
 
 
 class TestSerializationAndEstimand:
@@ -730,7 +768,7 @@ class TestLazyFacts:
     """A NotIdentifiable or NonAncestor query, or a set rejected on the
     possible-descendant clash, is answered without enumerating a simple path."""
 
-    ENUMERATORS = ("simple_directed_paths", "_backdoor_path_data")
+    ENUMERATORS = ("simple_directed_paths", "_open_backdoor_ecn")
 
     @pytest.fixture(autouse=True)
     def forbid_path_enumeration(self, monkeypatch):
@@ -792,3 +830,62 @@ class TestLazyFacts:
                     else:
                         report = scg_backdoor_check(g, q, zset((y, 0)))
                         assert report.violations[0].startswith("possible descendant of treatment in set")
+
+
+def _backdoor_path_classes(g, x, y):
+    """(nodes, colliders) of every simple back-door path from ``x`` to ``y``,
+    listed in full: the first step follows an edge into ``x``, later steps an
+    edge in either direction, and a collider is an interior node whose two
+    path edges both point at it."""
+    found = set()
+
+    def extend(path, entered):
+        v = path[-1]
+        if v == y:
+            # A collider is entered by its own step and left by a step into it.
+            colliders = frozenset(
+                path[i] for i in range(1, len(path) - 1) if entered[i] and not entered[i + 1]
+            )
+            found.add((frozenset(path), colliders))
+            return
+        for w in g.children(v):
+            if w not in path:
+                extend(path + [w], entered + [True])
+        for w in g.parents(v):
+            if w not in path:
+                extend(path + [w], entered + [False])
+
+    for first in g.parents(x):
+        if first != x:
+            extend([x, first], [False, False])
+    return found
+
+
+class TestOpenBackdoorSearch:
+    """The witness search that ``z1_required`` and ``backdoor_restricted_ecn``
+    run gives what filtering the full list of back-door path classes gives."""
+
+    @given(
+        small_scgs(),
+        st.integers(min_value=0, max_value=1),
+        st.integers(min_value=1, max_value=2),
+        st.data(),
+    )
+    @settings(max_examples=200)
+    def test_matches_path_classes(self, g, gamma, gamma_max, data):
+        x, y = data.draw(st.permutations(g.nodes))[:2]
+        q = MicroQuery(x, y, gamma, gamma_max)
+        paths = _backdoor_path_classes(g, x, y)
+        cn, ecn = causal_nodes(g, x, y), extended_causal_nodes(g, x, y)
+        d = possible_descendants(g, x, -gamma, (q.window_floor, 0), gamma_max)
+        facts = query_facts(g, q)
+        for k in range(len(g.nodes) + 1):
+            for series in map(frozenset, combinations(g.nodes, k)):
+                opened = set()
+                for nodes, colliders in paths:
+                    if colliders <= series:
+                        opened |= nodes & ecn
+                z1 = instantiate(g.parents_of_set(cn | opened), q.window_floor, 0) - d
+                assert facts.z1_required(series) == z1
+                z2 = [tv(s, 0) for s in series]
+                assert backdoor_restricted_ecn(g, x, y, z2) == opened

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from scgadjust import oracle
 from scgadjust.identify import (
     BackdoorTester,
     CriterionReport,
+    _QueryFacts,
     adjustment_set_to_obj,
     classical_backdoor_check,
     query_facts,
@@ -144,6 +146,24 @@ class TestSoundness:
         lines = small_report.to_csv().strip().splitlines()
         assert lines[0].startswith("index,")
         assert len(lines) == 1 + len(small_report.rows)
+
+    def test_query_facts_built_once_per_query(self, monkeypatch):
+        # The facts cache holds one query, and the experiment finishes each
+        # query before it starts the next: no query's facts are built twice.
+        builds = Counter()
+        build = _QueryFacts.__init__
+
+        def counted(self, g, q):
+            builds[g, q] += 1
+            build(self, g, q)
+
+        monkeypatch.setattr(_QueryFacts, "__init__", counted)
+        query_facts.cache_clear()
+        report = soundness_experiment(CorpusConfig(n_graphs=20, seed=7))
+        identifiable = [row for row in report.rows if row.verdict in ("CondA", "CondB", "CondC")]
+        assert len(identifiable) > 5
+        assert len(builds) == len(identifiable)
+        assert set(builds.values()) == {1}
 
     def test_all_non_ancestor_corpus_checks_empty_sets_only(self):
         cfg = CorpusConfig(n_graphs=10, edge_probability=0.0, allow_cycles=False, seed=3)

@@ -35,7 +35,7 @@ from scgadjust.simulate import (
 )
 from scgadjust.unroll import enumerate_compatible_templates
 
-from .conftest import query, zset
+from .conftest import bounded, query, zset
 
 GRAPHS_DIR = Path(__file__).resolve().parent.parent / "graphs"
 
@@ -434,27 +434,6 @@ class TestVarianceExperiment:
             )
 
 
-def _bounded(fn, timeout=60.0):
-    """``fn()`` on a helper thread that must end within ``timeout`` seconds:
-    a hang fails the test instead of stalling the suite.  Returns what
-    ``fn`` returned, or raises what it raised."""
-    outcome = {}
-
-    def target():
-        try:
-            outcome["value"] = fn()
-        except Exception as exc:
-            outcome["error"] = exc
-
-    helper = threading.Thread(target=target, daemon=True)
-    helper.start()
-    helper.join(timeout)
-    assert not helper.is_alive(), f"no result within {timeout} s"
-    if "error" in outcome:
-        raise outcome["error"]
-    return outcome["value"]
-
-
 class TestMapInOrder:
     def test_stress_more_workers_than_cpus(self):
         # A tiny switch interval makes the threads interleave at almost every
@@ -473,7 +452,7 @@ class TestMapInOrder:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            results = _bounded(lambda: simulate._map_in_order(square, items, 8))
+            results = bounded(lambda: simulate._map_in_order(square, items, 8))
         finally:
             sys.setswitchinterval(interval)
         assert results == [x * x for x in items]
@@ -493,7 +472,7 @@ class TestVarianceExperimentErrors:
         q = query(gamma=1)
         before = threading.active_count()
         with pytest.raises(EstimationError) as exc:
-            _bounded(
+            bounded(
                 lambda: variance_experiment(
                     persistence_chain,
                     q,
@@ -531,7 +510,7 @@ class TestVarianceExperimentErrors:
         before = threading.active_count()
         sets = {"qopt": qopt(persistence_chain, q)}
         with pytest.raises(RuntimeError, match="^dataset 17$"):
-            _bounded(lambda: variance_experiment(persistence_chain, q, sets, n=200, reps=8, seed=2, blocks=2))
+            bounded(lambda: variance_experiment(persistence_chain, q, sets, n=200, reps=8, seed=2, blocks=2))
         assert threading.active_count() == before
         # No dataset of the next block was started.
         assert set(seen) <= {16, 17, 18, 19}

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -84,6 +85,17 @@ class TestEnumeration:
 
     def test_feedback_pair_count(self, cycle_pair_confounded):
         assert count_compatible_templates(cycle_pair_confounded, 1, 1000) == 45
+
+    def test_lag_sets_by_size_then_combinations_order(self, single_edge):
+        templates = enumerate_compatible_templates(single_edge, 3, cap=20)
+        lag_sets = [dict(t.lag_entries)[("X", "Y")] for t in templates]
+        every = [s for k in range(1, 5) for s in combinations(range(4), k)]
+        assert lag_sets == sorted(every, key=lambda s: (len(s), s))
+
+    def test_count_at_large_gamma_max(self, persistence_chain):
+        # Each edge has 2**40 or more lag sets at gamma_max 40; a count that
+        # stops past the limit must not list them first.
+        assert count_compatible_templates(persistence_chain, 40, 50) == 51
 
     def test_over_cap_signal(self, cycle_pair_confounded):
         with pytest.raises(TemplateCapExceeded) as exc:
