@@ -169,8 +169,9 @@ class _GraphTemplates:
     @cached_property
     def n_templates(self) -> int | None:
         """The number of compatible templates, or None when there are more
-        than ``cap``.  They are counted, not kept: a list of them is built
-        only when a set reaches the in-order fallback."""
+        than ``cap``.  ``count_compatible_templates`` works it out by
+        arithmetic, building no template; the list of them is built only
+        when a set reaches the in-order fallback."""
         n = count_compatible_templates(self.g, self.gamma_max, self.cap)
         return n if n <= self.cap else None
 

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import combinations, permutations, product
-from math import prod
+from itertools import chain, combinations, permutations, product
 from typing import Iterable, Iterator, NamedTuple
 
 from .graph import (
     SCG,
     GraphError,
+    SccPartition,
     closure,
     d_connected,
     scc_partition,
@@ -225,18 +225,71 @@ def enumerate_compatible_templates(g: SCG, gamma_max: int, cap: int) -> list[FTD
 
 
 def count_compatible_templates(g: SCG, gamma_max: int, limit: int) -> int:
-    """Number of compatible templates, counting no further than ``limit + 1``."""
-    n = 0
-    for _ in iter_compatible_templates(g, gamma_max):
-        n += 1
-        if n > limit:
+    """Number of compatible templates, counting no further than ``limit + 1``.
+
+    Counted by arithmetic, with no template built.  Only edges inside a
+    strongly connected component can close a lag-0 cycle, so the count is a
+    product: 2**L - 1 lag sets per self-loop and 2**(L+1) - 1 per edge
+    between components (L = gamma_max), and per component the sum over the
+    acyclic sets A of its internal edges given lag 0 of
+    (2**L)**|A| * (2**L - 1)**(the other internal edges).  Every factor is
+    at least 1, so each one, and the running product, is clamped at
+    ``limit + 1``; no 2**L is formed past that."""
+    if gamma_max < 1:
+        raise TemplateError("gamma_max must be >= 1")
+    cap = max(limit, 0) + 1
+    k = min(gamma_max, cap.bit_length())
+    with_zero, positive, non_self = min(1 << k, cap), min((1 << k) - 1, cap), min((2 << k) - 1, cap)
+    _, between, internal = _split_edges(g)
+    loops = sum(u == w for (u, w) in g.edge_list)
+    factors = chain(
+        [positive] * loops,
+        [non_self] * len(between),
+        (_acyclic_weight_sum(edges, with_zero, positive, cap) for edges in internal.values()),
+    )
+    n = 1
+    for factor in factors:
+        n = min(n * factor, cap)
+        if n == cap:
             break
     return n
 
 
+def _acyclic_weight_sum(edges: list[tuple[str, str]], with_zero: int, positive: int, cap: int) -> int:
+    """The sum over the acyclic subsets A of ``edges`` of
+    ``with_zero**|A| * positive**(len(edges) - |A|)``, or ``cap`` once it
+    reaches ``cap``.  A depth-first walk that tries each edge with lag 0
+    first; every leaf adds at least 1, so it visits at most ``cap`` leaves."""
+    zero_children: dict[str, set[str]] = {v: set() for e in edges for v in e}
+    # (index, weight before it) of each lag-0 edge whose other choice is
+    # still to be walked; these edges are exactly the ones in zero_children.
+    branches: list[tuple[int, int]] = []
+    total, i, weight = 0, 0, 1
+    while True:
+        while i < len(edges):
+            u, w = edges[i]
+            if u in closure(zero_children, [w]):
+                weight = min(weight * positive, cap)
+            else:
+                branches.append((i, weight))
+                zero_children[u].add(w)
+                weight = min(weight * with_zero, cap)
+            i += 1
+        total += weight
+        if total >= cap or not branches:
+            return min(total, cap)
+        i, weight = branches.pop()
+        u, w = edges[i]
+        zero_children[u].discard(w)
+        weight = min(weight * positive, cap)
+        i += 1
+
+
 def _maximal_acyclic_subsets(nodes: tuple[str, ...], edges: list[tuple[str, str]]) -> list[frozenset[tuple[str, str]]]:
-    # Maximal acyclic edge subsets are exactly the sets consistent with some
-    # linear order of the nodes; enumerate orders and deduplicate.
+    # The distinct edge subsets that a linear order of the nodes induces (the
+    # edges pointing forward in it), found by walking every order.  They are
+    # acyclic but not all maximal: for the 3-cycle A->B->C->A the order
+    # (A, C, B) induces {AB} alone, within the {AB, BC} of (A, B, C).
     if not edges:
         return [frozenset()]
     seen: set[frozenset[tuple[str, str]]] = set()
@@ -246,39 +299,92 @@ def _maximal_acyclic_subsets(nodes: tuple[str, ...], edges: list[tuple[str, str]
     return sorted(seen, key=lambda s: sorted(s))
 
 
-def _zero_lag_choices(g: SCG) -> tuple[set[tuple[str, str]], list[list[frozenset[tuple[str, str]]]]]:
-    """The lag-0 edges of the densest templates: the non-self edges between
-    strongly connected components, which keep lag 0 in all of them, and for
-    each component with internal edges its maximal acyclic internal-edge
-    choices."""
+def _split_edges(g: SCG) -> tuple[SccPartition, list[tuple[str, str]], dict[int, list[tuple[str, str]]]]:
+    """The strongly connected components of ``g``, its non-self edges
+    between two components, and its non-self edges within one, by component
+    index.  Only the last can close a lag-0 cycle."""
     part = scc_partition(g)
     comp = part.component_of
+    between: list[tuple[str, str]] = []
     internal: dict[int, list[tuple[str, str]]] = {}
-    always_zero: set[tuple[str, str]] = set()
     for (u, w) in g.edge_list:
         if u == w:
             continue
         if comp[u] == comp[w]:
             internal.setdefault(comp[u], []).append((u, w))
         else:
-            always_zero.add((u, w))
+            between.append((u, w))
+    return part, between, internal
+
+
+def _zero_lag_choices(g: SCG) -> tuple[set[tuple[str, str]], list[list[frozenset[tuple[str, str]]]]]:
+    """The lag-0 edges of the densest templates: the non-self edges between
+    strongly connected components, which keep lag 0 in all of them, and for
+    each component with internal edges the internal-edge sets that its node
+    orders induce."""
+    part, between, internal = _split_edges(g)
     per_scc = [
         _maximal_acyclic_subsets(members, internal[idx])
         for idx, members in enumerate(part.components)
         if idx in internal
     ]
-    return always_zero, per_scc
+    return set(between), per_scc
 
 
 def count_densest_templates(g: SCG) -> int:
-    """Number of densest templates: the product over strongly connected
-    components of their maximal acyclic internal-edge choices."""
-    return prod(len(choices) for choices in _zero_lag_choices(g)[1])
+    """Number of densest templates, counted with no node order walked and no
+    template built: the product over strongly connected components of the
+    distinct internal-edge sets that their node orders induce.
+
+    Within a component these sets correspond one-to-one to the acyclic
+    orientations of its undirected skeleton, an antiparallel pair being one
+    skeleton edge: an order orients each skeleton edge forward, and the
+    orientation gives back the set (of an antiparallel pair exactly one edge
+    points forward).  Their number is the chromatic polynomial at -1, up to
+    sign (Stanley 1973, "Acyclic orientations of graphs"); it is computed by
+    inclusion-exclusion over the set of sources: a(S) is the sum over the
+    non-empty independent I within S of (-1)**(|I|+1) * a(S - I), with a of
+    the empty set 1."""
+    part, _, internal = _split_edges(g)
+    n = 1
+    for idx, edges in internal.items():
+        index = {v: i for i, v in enumerate(part.components[idx])}
+        skeleton = [0] * len(index)
+        for (u, w) in edges:
+            skeleton[index[u]] |= 1 << index[w]
+            skeleton[index[w]] |= 1 << index[u]
+        n *= _acyclic_orientations(skeleton)
+    return n
+
+
+def _acyclic_orientations(adj: list[int]) -> int:
+    """Number of acyclic orientations of the undirected graph whose node i
+    has the neighbour mask ``adj[i]``, by the source-set recurrence over all
+    3**len(adj) pairs of a node set and a subset of it."""
+    full = 1 << len(adj)
+    # signed[I]: 0 unless I is independent, else (-1)**(|I|+1).
+    signed = [0] * full
+    a = [0] * full
+    a[0] = 1
+    for s in range(1, full):
+        low = s & -s
+        rest = s ^ low
+        if (rest == 0 or signed[rest]) and not adj[low.bit_length() - 1] & s:
+            signed[s] = 1 if s.bit_count() % 2 else -1
+        total = 0
+        sub = s
+        while sub:
+            total += signed[sub] * a[s ^ sub]
+            sub = (sub - 1) & s
+        a[s] = total
+    return a[full - 1]
 
 
 def densest_templates(g: SCG, gamma_max: int) -> list[FTDagTemplate]:
-    """Templates with maximal lag sets: full lags everywhere, lag 0 kept on a
-    maximal acyclic edge choice within each strongly connected component."""
+    """Templates with maximal lag sets: full lags everywhere, lag 0 kept on
+    the non-self edges between strongly connected components and, within
+    each component, on the internal edges that point forward in one node
+    order; one template per distinct choice, each built from the orders."""
     always_zero, per_scc = _zero_lag_choices(g)
     results: list[FTDagTemplate] = []
     for choice in product(*per_scc):

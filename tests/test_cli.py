@@ -331,6 +331,10 @@ SET_TEXT = st.one_of(
 # a template enumeration or a subset search stay small; the others reach 50.
 WIDE = st.integers(1, 50) | st.integers(-50, 50)
 SMALL = st.integers(1, 2) | st.integers(-2, 2)
+# Sample and replicate counts of the simulate command: enough rows for a
+# fit half the time, too few or none the other half.
+ROWS = st.integers(10, 60) | st.integers(-2, 10)
+REPS = st.integers(2, 12) | st.integers(-2, 4)
 
 
 @pytest.fixture(scope="module")
@@ -387,6 +391,31 @@ class TestCliFuzz:
         else:
             argv += [flag("gamma", SMALL), flag("gamma-max", SMALL), flag("template-cap", WIDE),
                      flag("max-subset-size", SMALL)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        assert code in {0, 2, 3, 4, 5}
+        assert "Traceback" not in err.getvalue()
+        if code == 4:
+            assert err.getvalue().startswith("error: ")
+
+    @given(graph=wellformed_graphs(), data=st.data())
+    @settings(max_examples=100)
+    def test_simulate_flags(self, fuzz_graph_path, graph, data):
+        # Few rows and replicates reach the fit's row check, the block checks
+        # and the set names.  X -> Y is added where both nodes exist, so that
+        # most queries have sets to simulate.
+        def flag(name, values):
+            return f"--{name}={data.draw(values, label=name)}"
+
+        if {"X", "Y"} <= set(graph["nodes"]) and ["X", "Y"] not in graph["edges"]:
+            graph["edges"] = sorted(graph["edges"] + [["X", "Y"]])
+        fuzz_graph_path.write_text(json.dumps(graph), encoding="utf-8")
+        argv = [
+            "simulate", f"--graph={fuzz_graph_path}", "--treatment=X", "--outcome=Y",
+            flag("gamma", SMALL), flag("gamma-max", SMALL), flag("n", ROWS), flag("reps", REPS),
+            flag("blocks", SMALL), flag("sets", st.sampled_from(["qopt", "qopt,a1,a2", "empty", "qopt,nope", ","])),
+        ]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = run(argv)

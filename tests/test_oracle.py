@@ -233,15 +233,19 @@ class TestPinnedValidateBytes:
 
 
 class TestKnownSoundnessGap:
-    """Two corpus graphs where the macro criterion accepts sets that fail in
-    a compatible full-time DAG.
+    """Corpus graphs where the macro criterion accepts sets that fail in a
+    compatible full-time DAG.
 
-    Both shapes put the treatment on a 2-cycle with an instantaneous query
-    (condition B) while the outcome's cycle partner re-opens temporal
-    back-door routes whose macro trace is not a simple path, so the
-    partition item's mandated part misses a needed parent (for example Y@-1,
-    a parent of the extended causal nodes but not of the causal nodes).  The
-    harness must keep detecting the gap; see README "Known limitations".
+    The first two shapes (the fixture, and graph 541 of the seed-7
+    full-scale corpus that reduces to it) put the treatment on a 2-cycle
+    with an instantaneous query (condition B) while the outcome's cycle
+    partner re-opens temporal back-door routes whose macro trace is not a
+    simple path, so the partition item's mandated part misses a needed
+    parent (for example Y@-1, a parent of the extended causal nodes but not
+    of the causal nodes).  The third, graph 39 of the seed-11 corpus, is
+    condition A: the outcome is on a 2-cycle with V4 and the partition item
+    A.3 accepts the quasi-optimal set with its cycle caveat.  The harness
+    must keep detecting the gap; see README "Known limitations".
     """
 
     @pytest.fixture()
@@ -284,6 +288,21 @@ class TestKnownSoundnessGap:
 
         assert scg_backdoor_check(g, q, qopt(g, q)).satisfied
         assert not common_backdoor_valid(g, q, qopt(g, q), cap=cfg.template_cap)
+
+    def test_condition_a_shape(self):
+        # The gap under condition A: `validate --n-graphs 200 --seed 11`
+        # exits 1 on this graph (and on graph 157, a condition-B one).
+        from scgadjust import qopt
+
+        g = random_scg(CorpusConfig(seed=11), 39)
+        q = MicroQuery("X", "Y", 0, 1)
+        assert identify(g, q).kind is VerdictKind.COND_A
+        z = qopt(g, q)
+        assert z == zset(("X", -1), ("V3", -1), ("V4", -1), ("V3", 0))
+        report = scg_backdoor_check(g, q, z)
+        assert report.satisfied and report.item == "A.3"
+        assert report.caveats
+        assert not common_backdoor_valid(g, q, z, cap=50)
 
 
 class TestCompletenessProbe:

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, islice, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +23,7 @@ from scgadjust import (
     unroll,
     validate_scg,
 )
-from scgadjust.graph import GraphError, on_any_cycle
+from scgadjust.graph import GraphError, on_any_cycle, scc_partition
 from scgadjust.oracle import CorpusConfig, random_scg
 from scgadjust.unroll import (
     count_compatible_templates,
@@ -33,7 +33,7 @@ from scgadjust.unroll import (
     undominated_templates,
 )
 
-from .conftest import small_scgs, tv, zset
+from .conftest import bounded, small_scgs, tv, zset
 
 
 class TestQuery:
@@ -94,8 +94,24 @@ class TestEnumeration:
 
     def test_count_at_large_gamma_max(self, persistence_chain):
         # Each edge has 2**40 or more lag sets at gamma_max 40; a count that
-        # stops past the limit must not list them first.
+        # stops past the limit must not list them first.  At gamma_max 10**9
+        # it returns at once only when its arithmetic saturates at the limit.
         assert count_compatible_templates(persistence_chain, 40, 50) == 51
+        assert bounded(lambda: count_compatible_templates(persistence_chain, 10**9, 50), timeout=10) == 51
+
+    @given(small_scgs(max_nodes=4), st.integers(1, 3), st.integers(0, 300))
+    @settings(max_examples=60)
+    def test_count_matches_the_walk(self, g, gamma_max, limit):
+        # The walk over the templates is the reference: the count is the
+        # number of templates it yields, capped at limit + 1, for limits
+        # below, at and above the true count.
+        def walked(lim: int) -> int:
+            return sum(1 for _ in islice(iter_compatible_templates(g, gamma_max), lim + 1))
+
+        true = walked(300)
+        limits = [limit] + ([true - 1, true, true + 1] if true <= 300 else [])
+        for lim in limits:
+            assert count_compatible_templates(g, gamma_max, lim) == walked(lim)
 
     def test_over_cap_signal(self, cycle_pair_confounded):
         with pytest.raises(TemplateCapExceeded) as exc:
@@ -125,8 +141,6 @@ class TestEnumeration:
     def test_count_formula_on_cycle_free_graphs(self, g, gamma_max):
         # Independent lag choices when the non-self subgraph is acyclic:
         # (2^(gmax+1)-1)^m * (2^gmax-1)^k.
-        from scgadjust import scc_partition
-
         if any(len(comp) > 1 for comp in scc_partition(g).components):
             return
         non_self = [e for e in g.edges if e[0] != e[1]]
@@ -154,6 +168,28 @@ class TestDensest:
         templates = densest_templates(g, 1)
         assert len(templates) == 1
         assert templates[0].lag_entries == ()
+        assert count_densest_templates(g) == 1
+
+    @given(small_scgs(max_nodes=6))
+    @settings(max_examples=60)
+    def test_count_matches_the_templates(self, g):
+        assert count_densest_templates(g) == len(densest_templates(g, 1))
+
+    @pytest.mark.parametrize("index", [2, 4, 16, 37])
+    def test_count_matches_the_order_walk_on_large_components(self, index):
+        # Corpus graphs with a 7- or 8-node strongly connected component,
+        # against the reference walk over every node order of each component.
+        g = random_scg(CorpusConfig(node_count_range=(7, 8), seed=7), index)
+        expected = 1
+        for members in scc_partition(g).components:
+            internal = [(u, w) for (u, w) in g.edge_list if u != w and u in members and w in members]
+            induced = set()
+            for order in permutations(members):
+                rank = {v: i for i, v in enumerate(order)}
+                induced.add(frozenset((u, w) for (u, w) in internal if rank[u] < rank[w]))
+            expected *= len(induced)
+        assert max(map(len, scc_partition(g).components)) >= 7
+        assert count_densest_templates(g) == expected
 
     @given(small_scgs(max_nodes=4))
     @settings(max_examples=30)
