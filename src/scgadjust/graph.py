@@ -39,6 +39,8 @@ class SCG:
     # and children.
     _parents: dict[NodeId, tuple[NodeId, ...]] = field(repr=False, compare=False, hash=False, default=None)
     _children: dict[NodeId, tuple[NodeId, ...]] = field(repr=False, compare=False, hash=False, default=None)
+    # Set by ``scc_partition`` on first use, never by the constructor.
+    _scc: SccPartition | None = field(init=False, repr=False, compare=False, hash=False, default=None)
 
     def __post_init__(self):
         index = {v: i for i, v in enumerate(self.nodes)}
@@ -86,13 +88,6 @@ class SCG:
 
     def sorted_nodes(self, s: Iterable[NodeId]) -> list[NodeId]:
         return sorted(s, key=self.index)
-
-    def without_node(self, v: NodeId) -> "SCG":
-        """Induced subgraph with ``v`` (and its incident edges) removed."""
-        self.index(v)
-        keep = tuple(u for u in self.nodes if u != v)
-        edges = frozenset(e for e in self.edges if v not in e)
-        return SCG(keep, edges)
 
     def to_json(self) -> str:
         payload = {"nodes": list(self.nodes), "edges": [list(e) for e in self.edge_list]}
@@ -247,6 +242,16 @@ class SccPartition:
 
 
 def scc_partition(g: SCG) -> SccPartition:
+    """The strongly connected components of ``g``, computed on first use and
+    kept on ``g``: the graph is frozen, so the partition cannot go stale."""
+    part = g._scc
+    if part is None:
+        part = _tarjan(g)
+        object.__setattr__(g, "_scc", part)
+    return part
+
+
+def _tarjan(g: SCG) -> SccPartition:
     """Tarjan's algorithm, iterative; components ordered by smallest member index."""
     index_of: dict[NodeId, int] = {}
     lowlink: dict[NodeId, int] = {}

@@ -96,8 +96,11 @@ def identify(g: SCG, q: MicroQuery, condition_c_form: str = "cycles") -> Verdict
     if scc_x == frozenset([x]):
         return Verdict(VerdictKind.COND_A, (("scc_x", (x,)),))
     if q.gamma == 0:
-        blocked = ancestors(g.without_node(x), [y]) & scc_x
-        if not blocked:
+        # Ancestors of y in G - X: the walk may reach x but never passes
+        # through it, and x itself is no node of G - X.
+        an_y = closure({**g._parents, x: ()}, [y])
+        an_y.discard(x)
+        if not an_y & scc_x:
             return Verdict(VerdictKind.COND_B, (("scc_x", tuple(g.sorted_nodes(scc_x))),))
     if q.gamma == 1:
         if condition_c_form == "cycles":
@@ -234,16 +237,12 @@ class _QueryFacts:
         self._clash_reports: dict[AdjustmentSet, CriterionReport] = {}
 
     @cached_property
-    def scc(self) -> SccPartition:
-        return scc_partition(self.g)
-
-    @cached_property
     def cn(self) -> frozenset[str]:
         return causal_nodes(self.g, self.q.treatment, self.q.outcome)
 
     @cached_property
     def ecn(self) -> frozenset[str]:
-        return _close_under_components(self.scc, self.cn)
+        return _close_under_components(scc_partition(self.g), self.cn)
 
     @cached_property
     def descendant_labels(self) -> tuple[dict[TemporalVar, int], dict[TemporalVar, str]]:
@@ -279,7 +278,8 @@ class _QueryFacts:
             return {"C-core-x": base | all_x, "C-core-y": base | all_y}
         if kind not in (VerdictKind.COND_A, VerdictKind.COND_B):
             return {}
-        scc_x = _close_under_components(self.scc, [q.treatment])
+        # The verdicts of conditions A and B name the treatment's component.
+        scc_x = frozenset(self.verdict.witness_dict()["scc_x"])
         scc_core = instantiate(g.parents_of_set(scc_x), floor, -q.gamma) - d
         if kind is VerdictKind.COND_B:
             return {"B.1-core": scc_core, "B.2-core": self.z1_required(frozenset())}

@@ -346,6 +346,8 @@ def variance_experiment(
     per-set aggregate variance is the mean of within-block variances, so
     between-model effect heterogeneity does not contaminate the comparison.
     """
+    if not sets:
+        raise ValueError("no adjustment set to compare")
     if blocks < 1 or reps % blocks != 0:
         raise ValueError("reps must be divisible by blocks")
     if reps // blocks < 2:

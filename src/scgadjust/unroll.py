@@ -548,10 +548,13 @@ def possible_descendants(
 ) -> frozenset[TemporalVar]:
     """Temporal variables that descend from ``v@offset`` in some compatible FT-DAG.
 
-    Computed as reachability in one *union unrolling* of the window: every
-    non-self edge carries every lag 0..gamma_max, every self-loop every lag
-    1..gamma_max, and edges leaving the window are dropped.  No template is
-    enumerated.
+    Computed as reachability in one *union unrolling* of the window, in
+    which every non-self edge carries every lag 0..gamma_max, every
+    self-loop every lag 1..gamma_max, and edges leaving the window are
+    dropped.  The walk is lazy: it starts at ``v@offset`` and expands a
+    temporal variable ``u@s`` (to ``w@t`` for every edge u -> w and every t
+    from s, or s + 1 on a self-loop, to s + gamma_max) only once it reaches
+    it, so no template is enumerated and no unreached variable is built.
 
     Every compatible template is contained lag-set-wise in a densest one, so
     it suffices to match the union over densest templates.  A densest
@@ -576,17 +579,19 @@ def possible_descendants(
     g.index(v)
     if gamma_max < 1:
         raise TemplateError("gamma_max must be >= 1")
-    # Lags never point backwards, so slices before ``offset`` are never reached.
-    children = {
-        TemporalVar(u, s): [
-            TemporalVar(w, s + lag)
-            for w in g._children[u]
-            for lag in range(1 if w == u else 0, min(gamma_max, hi - s) + 1)
-        ]
-        for u in g.nodes
-        for s in range(offset, hi + 1)
-    }
-    return frozenset(closure(children, [TemporalVar(v, offset)]))
+    children = g._children
+    start = TemporalVar(v, offset)
+    reached, stack = {start}, [start]
+    while stack:
+        u, s = stack.pop()
+        top = min(s + gamma_max, hi) + 1
+        for w in children[u]:
+            for t in range(s + (w == u), top):
+                tv = TemporalVar(w, t)
+                if tv not in reached:
+                    reached.add(tv)
+                    stack.append(tv)
+    return frozenset(reached)
 
 
 def possible_descendants_bruteforce(

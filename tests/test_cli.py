@@ -234,6 +234,14 @@ class TestSimulate:
                     "--reps", "4", "--blocks", "2"])
         assert code == 4
 
+    def test_empty_set_list_exit_4(self, graph_file, capsys):
+        code = run(["simulate", *q_flags(graph_file), "--sets", ",", "--n", "50", "--reps", "4",
+                    "--blocks", "2"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err == "error: no adjustment set to compare\n"
+
     BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
     def test_one_blas_thread_by_default(self, graph_file, monkeypatch, capsys):
@@ -420,6 +428,41 @@ class TestCliFuzz:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = run(argv)
         assert code in {0, 2, 3, 4, 5}
+        assert "Traceback" not in err.getvalue()
+        if code == 4:
+            assert err.getvalue().startswith("error: ")
+
+    @given(data=st.data())
+    @settings(max_examples=150)
+    def test_validate_flags(self, data):
+        # Corpora of at most three small graphs, so that each example runs
+        # the whole experiment.  Each flag is drawn in range half the time,
+        # from its whole range the other half.
+        def flag(name, values):
+            return data.draw(values, label=name)
+
+        min_nodes = flag("min-nodes", st.integers(2, 6) | st.integers(1, 6))
+        flags = {
+            "n-graphs": flag("n-graphs", st.integers(1, 3) | st.integers(0, 3)),
+            "min-nodes": min_nodes,
+            "max-nodes": flag("max-nodes", st.integers(min_nodes, 6) | st.integers(1, 6)),
+            "edge-probability": flag(
+                "edge-probability",
+                st.floats(0, 1) | st.one_of(st.floats(-0.5, 1.5), st.sampled_from(["nan", "inf"])),
+            ),
+            "gamma-max": flag("gamma-max", st.integers(1, 2) | st.integers(0, 2)),
+            "template-cap": flag("template-cap", st.integers(1, 60) | st.integers(-1, 60)),
+            "max-subset-size": flag("max-subset-size", st.integers(0, 2)),
+            "seed": flag("seed", st.integers(0, 50)),
+            "format": flag("format", st.sampled_from(["json", "csv"])),
+        }
+        argv = ["validate", *(f"--{name}={value}" for name, value in flags.items())]
+        if data.draw(st.booleans(), label="acyclic"):
+            argv.append("--acyclic")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        assert code in {0, 1, 4, 5}
         assert "Traceback" not in err.getvalue()
         if code == 4:
             assert err.getvalue().startswith("error: ")

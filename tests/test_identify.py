@@ -2,7 +2,7 @@ import hashlib
 import json
 import random
 import sys
-from itertools import combinations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
@@ -10,13 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scgadjust import (
+    SCG,
     GraphError,
     MicroQuery,
     NotIdentifiableError,
     QueryError,
+    Verdict,
     VerdictKind,
     WindowError,
     adjustment_set_to_obj,
+    ancestors,
     backdoor_restricted_ecn,
     canonical_sets,
     causal_nodes,
@@ -37,11 +40,42 @@ from scgadjust import (
     set_a2,
     validate_scg,
 )
+import scgadjust.graph
 from scgadjust.graph import closure, cycle_profile, scc_of
 from scgadjust.identify import BackdoorTester, query_facts
 from scgadjust.unroll import d_separated_bruteforce, instantiate, padded_window, unroll
 
 from .conftest import bounded, query, small_scgs, tv, zset
+
+
+def _verdict_with_subgraph(g, q, condition_c_form):
+    """The case split of ``identify``, with the condition-B test run on
+    G - X built as a graph of its own."""
+    x, y = q.treatment, q.outcome
+    if x not in ancestors(g, [y]):
+        return Verdict(VerdictKind.NON_ANCESTOR)
+    scc_x = scc_of(g, x)
+    if scc_x == frozenset([x]):
+        return Verdict(VerdictKind.COND_A, (("scc_x", (x,)),))
+    if q.gamma == 0:
+        g_minus_x = SCG(tuple(v for v in g.nodes if v != x), frozenset(e for e in g.edges if x not in e))
+        if not ancestors(g_minus_x, [y]) & scc_x:
+            return Verdict(VerdictKind.COND_B, (("scc_x", tuple(g.sorted_nodes(scc_x))),))
+    if q.gamma == 1:
+        if condition_c_form == "cycles":
+            ok = cycle_profile(g, y).only_cycle_is_two_cycle_with == x
+        else:
+            ok = scc_x <= frozenset([x, y]) and not g.has_self_loop(y)
+        if ok:
+            return Verdict(VerdictKind.COND_C, (("cycle_partner", x),))
+    return Verdict(
+        VerdictKind.NOT_IDENTIFIABLE,
+        (
+            ("scc_x", tuple(g.sorted_nodes(scc_x))),
+            ("self_loop_on_outcome", g.has_self_loop(y)),
+            ("gamma", q.gamma),
+        ),
+    )
 
 
 class TestVerdicts:
@@ -79,6 +113,15 @@ class TestVerdicts:
     def test_component_form_agrees(self, g, gamma):
         q = MicroQuery(g.nodes[0], g.nodes[1], gamma, 1)
         assert identify(g, q).kind is identify(g, q, condition_c_form="component").kind
+
+    @given(small_scgs(max_nodes=5))
+    @settings(max_examples=100)
+    def test_matches_the_subgraph_formula(self, g):
+        for x, y in permutations(g.nodes, 2):
+            for gamma in (0, 1, 2):
+                q = MicroQuery(x, y, gamma, 1)
+                for form in ("cycles", "component"):
+                    assert identify(g, q, form) == _verdict_with_subgraph(g, q, form)
 
 
 class TestCausalNodes:
@@ -524,6 +567,26 @@ class TestMacroPathEnumeratesNoTemplates:
         yield
         query_facts.cache_clear()
 
+    @pytest.fixture(autouse=True)
+    def record_partitions(self, monkeypatch):
+        # Every partition ``scc_partition`` hands out, with its graph; two
+        # distinct partition objects of one graph are two computations.
+        self.partitions = []
+        original = scgadjust.graph.scc_partition
+
+        def recording(g):
+            part = original(g)
+            self.partitions.append((g, part))
+            return part
+
+        for name, mod in list(sys.modules.items()):
+            if name == "scgadjust" or name.startswith("scgadjust."):
+                if getattr(mod, "scc_partition", None) is original:
+                    monkeypatch.setattr(mod, "scc_partition", recording)
+
+    def partitions_computed(self, g) -> int:
+        return len({id(part) for h, part in self.partitions if h is g})
+
     def answer(self, g, q):
         verdict = identify(g, q)
         z = frozenset()
@@ -531,17 +594,23 @@ class TestMacroPathEnumeratesNoTemplates:
             canonical_sets(g, q)
             if verdict.kind is not VerdictKind.NON_ANCESTOR:
                 z = qopt(g, q)
-        return verdict, scg_backdoor_check(g, q, z)
+        report = scg_backdoor_check(g, q, z)
+        # A non-ancestor treatment needs no component; any other verdict
+        # reads the partition, which is worked out once per graph.
+        assert self.partitions_computed(g) == (verdict.kind is not VerdictKind.NON_ANCESTOR)
+        return verdict, report
 
     @pytest.mark.parametrize("gamma", [0, 1])
     @pytest.mark.parametrize("path", sorted(GRAPHS_DIR.glob("*.json")), ids=lambda p: p.stem)
     def test_sample_graphs(self, path, gamma):
         g = scg_from_json(path.read_text(encoding="utf-8"))
+        assert self.partitions_computed(g) == 0
         self.answer(g, MicroQuery("X", "Y", gamma, 1))
 
     def test_twenty_node_scg(self):
         g = _sparse_scg(20, 0.11, seed=14)
         assert len(g.edges) == 45
+        assert self.partitions_computed(g) == 0
         for gamma in (0, 1):
             verdict, report = self.answer(g, MicroQuery("X", "Y", gamma, 1))
             assert verdict.kind is VerdictKind.COND_A
@@ -554,6 +623,7 @@ class TestMacroPathEnumeratesNoTemplates:
         edges = [(u, w) for u, ws in SEVENTY_EDGE_CHILDREN.items() for w in ws.split()]
         g = validate_scg(names, edges)
         assert len(g.edges) == 70
+        assert self.partitions_computed(g) == 0
         verdict, report = bounded(lambda: self.answer(g, MicroQuery("X", "Y", 0, 1)), timeout=10.0)
         assert verdict.kind is VerdictKind.COND_A
         assert report.satisfied
