@@ -26,7 +26,14 @@ from .identify import (
     qopt,
     scg_backdoor_check,
 )
-from .oracle import TEMPLATE_CAP, CorpusConfig, completeness_probe, probe_graph, soundness_experiment
+from .oracle import (
+    TEMPLATE_CAP,
+    CorpusConfig,
+    _GraphTemplates,
+    completeness_probe,
+    probe_graph,
+    soundness_experiment,
+)
 from .unroll import (
     MicroQuery,
     QueryError,
@@ -133,7 +140,7 @@ def cmd_qopt(args) -> int:
 def cmd_unroll(args) -> int:
     g = _load_graph(args.graph)
     if args.densest:
-        templates = densest_templates(g, args.gamma_max)
+        templates = _GraphTemplates(g, args.gamma_max, args.template_cap).densest
     else:
         templates = enumerate_compatible_templates(g, args.gamma_max, cap=args.template_cap)
     if not 0 <= args.template_index < len(templates):

@@ -10,8 +10,10 @@ byte-identical outputs.
 The graph-walk kernel lives here.  ``closure`` and ``topological_order``
 work on ``adj[v]`` lookups, so the same code serves name-keyed SCG indexes,
 ``TemporalVar``-keyed unrollings and int-indexed adjacency lists.
-``d_connected`` is the package's one Bayes-ball; it works on int masks, bit
-i standing for node i.
+``closure`` is the one reachability walk: an SCG's ancestors, descendants
+and strongly connected components (classes of mutual reachability) all come
+from it.  ``d_connected`` is the package's one Bayes-ball; it works on int
+masks, bit i standing for node i.
 """
 
 from __future__ import annotations
@@ -243,68 +245,25 @@ class SccPartition:
 
 def scc_partition(g: SCG) -> SccPartition:
     """The strongly connected components of ``g``, computed on first use and
-    kept on ``g``: the graph is frozen, so the partition cannot go stale."""
+    kept on ``g``: the graph is frozen, so the partition cannot go stale.
+
+    A component is a class of mutual reachability: walking the nodes in
+    declaration order, each node not yet placed opens the component of the
+    nodes that it reaches and that reach it, both found by ``closure``.  So
+    components come ordered by their smallest member index, and members in
+    declaration order."""
     part = g._scc
     if part is None:
-        part = _tarjan(g)
+        component_of: dict[NodeId, int] = {}
+        components: list[tuple[NodeId, ...]] = []
+        for v in g.nodes:
+            if v not in component_of:
+                comp = tuple(g.sorted_nodes(closure(g._children, [v]) & closure(g._parents, [v])))
+                component_of.update(dict.fromkeys(comp, len(components)))
+                components.append(comp)
+        part = SccPartition(component_of=component_of, components=tuple(components))
         object.__setattr__(g, "_scc", part)
     return part
-
-
-def _tarjan(g: SCG) -> SccPartition:
-    """Tarjan's algorithm, iterative; components ordered by smallest member index."""
-    index_of: dict[NodeId, int] = {}
-    lowlink: dict[NodeId, int] = {}
-    on_stack: set[NodeId] = set()
-    stack: list[NodeId] = []
-    counter = 0
-    raw_components: list[set[NodeId]] = []
-    children = g._children
-
-    for root in g.nodes:
-        if root in index_of:
-            continue
-        work = [(root, iter(children[root]))]
-        index_of[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index_of:
-                    index_of[w] = lowlink[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(children[w])))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    lowlink[v] = min(lowlink[v], index_of[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-            if lowlink[v] == index_of[v]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.add(w)
-                    if w == v:
-                        break
-                raw_components.append(comp)
-
-    ordered = sorted(
-        (tuple(g.sorted_nodes(c)) for c in raw_components),
-        key=lambda c: g.index(c[0]),
-    )
-    component_of = {v: i for i, comp in enumerate(ordered) for v in comp}
-    return SccPartition(component_of=component_of, components=tuple(ordered))
 
 
 def scc_of(g: SCG, v: NodeId) -> frozenset[NodeId]:
@@ -334,10 +293,6 @@ def cycle_profile(g: SCG, v: NodeId) -> CycleProfile:
     if not self_loop and len(comp) == 2:
         (partner,) = [u for u in comp if u != v]
     return CycleProfile(self_loop, on_cycle, partner)
-
-
-def on_any_cycle(g: SCG, v: NodeId) -> bool:
-    return cycle_profile(g, v).on_any_cycle
 
 
 def simple_directed_paths(g: SCG, src: NodeId, dst: NodeId) -> list[tuple[NodeId, ...]]:

@@ -50,6 +50,7 @@ from .unroll import (
     FTDagTemplate,
     MicroQuery,
     TemplateCapExceeded,
+    TemplateError,
     TemporalVar,
     count_compatible_templates,
     count_densest_templates,
@@ -142,6 +143,8 @@ class _GraphTemplates:
     first use: a graph that is over the cap or not identifiable builds none."""
 
     def __init__(self, g: SCG, gamma_max: int, cap: int):
+        if gamma_max < 1:
+            raise TemplateError("gamma_max must be >= 1")
         if cap < 1:
             raise ValueError("template_cap must be >= 1")
         self.g = g

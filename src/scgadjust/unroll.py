@@ -20,7 +20,6 @@ from .graph import (
     GraphError,
     SccPartition,
     closure,
-    d_connected,
     scc_partition,
     scg_from_json,
     topological_order,
@@ -157,11 +156,6 @@ def make_template(g: SCG, gamma_max: int, lags: dict[tuple[str, str], Iterable[i
     tmpl = FTDagTemplate(g, gamma_max, tuple(entries))
     tmpl.zero_lag_order()  # raises TemplateError on a lag-0 macro cycle
     return tmpl
-
-
-def macro_projection(tmpl: FTDagTemplate) -> SCG:
-    """Collapse a template back to its macro graph (one edge per non-empty lag set)."""
-    return SCG(tmpl.scg.nodes, frozenset(edge for edge, ls in tmpl.lag_entries if ls))
 
 
 def _nonempty_lag_subsets(gamma_max: int, self_loop: bool) -> Iterator[tuple[int, ...]]:
@@ -442,15 +436,6 @@ class UnrolledGraph:
         self.check_nodes(s)
         return frozenset(closure(self.parents, s))
 
-    def without_outgoing(self, v: TemporalVar) -> "UnrolledGraph":
-        self.check_nodes([v])
-        return UnrolledGraph(
-            self.window,
-            self.series,
-            self.nodes,
-            frozenset(e for e in self.edges if e[0] != v),
-        )
-
     def to_edgelist(self) -> str:
         lines = [f"{u.label()} -> {w.label()}" for (u, w) in self.edges]
         return "\n".join(sorted(lines)) + ("\n" if lines else "")
@@ -475,72 +460,6 @@ def padded_window(g: SCG, q: MicroQuery, extra: int = 0) -> tuple[int, int]:
     |nodes|*(gamma_max+1) past slices (plus ``extra``) and gamma_max future ones."""
     pad = len(g.nodes) * (q.gamma_max + 1) + extra
     return (q.window_floor - pad, q.gamma_max)
-
-
-def d_separated(
-    u: UnrolledGraph,
-    a: Iterable[TemporalVar],
-    b: Iterable[TemporalVar],
-    z: Iterable[TemporalVar],
-) -> bool:
-    """Whether ``z`` blocks every path between ``a`` and ``b``: the arguments
-    are checked here and mapped to bits of ``u.nodes``, the walk is the shared
-    Bayes-ball ``graph.d_connected``."""
-    a, b, z = frozenset(a), frozenset(b), frozenset(z)
-    if a & b or a & z or b & z:
-        raise ValueError("a, b, z must be pairwise disjoint")
-    u.check_nodes(a | b | z)
-    index = {v: i for i, v in enumerate(u.nodes)}
-
-    def mask(vs: Iterable[TemporalVar]) -> int:
-        return sum(1 << index[v] for v in vs)
-
-    parents = [mask(u.parents[v]) for v in u.nodes]
-    children = [mask(u.children[v]) for v in u.nodes]
-    return not d_connected(parents, children, mask(a), mask(b), mask(z))
-
-
-def d_separated_bruteforce(
-    u: UnrolledGraph,
-    a: Iterable[TemporalVar],
-    b: Iterable[TemporalVar],
-    z: Iterable[TemporalVar],
-) -> bool:
-    """Path-enumeration oracle for d-separation; exponential, small graphs only."""
-    a, b, z = frozenset(a), frozenset(b), frozenset(z)
-    if a & b or a & z or b & z:
-        raise ValueError("a, b, z must be pairwise disjoint")
-    u.check_nodes(a | b | z)
-
-    def path_active(path: list[TemporalVar], directions: list[bool]) -> bool:
-        # directions[i] is True when the i-th step follows the edge forward.
-        for i in range(1, len(path) - 1):
-            into_prev = directions[i - 1]
-            out_next = directions[i]
-            collider = into_prev and not out_next
-            if collider:
-                if not (u.descendants_of([path[i]]) & z):
-                    return False
-            else:
-                if path[i] in z:
-                    return False
-        return True
-
-    for x in a:
-        stack = [(x, [x], [])]
-        while stack:
-            v, path, dirs = stack.pop()
-            if v in b and len(path) > 1:
-                if path_active(path, dirs):
-                    return False
-                continue
-            for w in u.children[v]:
-                if w not in path:
-                    stack.append((w, path + [w], dirs + [True]))
-            for w in u.parents[v]:
-                if w not in path:
-                    stack.append((w, path + [w], dirs + [False]))
-    return True
 
 
 def possible_descendants(
@@ -594,26 +513,6 @@ def possible_descendants(
     return frozenset(reached)
 
 
-def possible_descendants_bruteforce(
-    g: SCG,
-    v: str,
-    offset: int,
-    window: tuple[int, int],
-    gamma_max: int,
-    cap: int = 100_000,
-) -> frozenset[TemporalVar]:
-    """Union of descendant sets over every enumerated compatible template."""
-    lo, hi = window
-    if not (lo <= offset <= hi):
-        raise ValueError(f"offset {offset} outside window {window}")
-    out: set[TemporalVar] = set()
-    start = TemporalVar(v, offset)
-    for tmpl in enumerate_compatible_templates(g, gamma_max, cap):
-        u = unroll(tmpl, lo, hi)
-        out |= u.descendants_of([start])
-    return frozenset(out)
-
-
 def template_from_json(text: str) -> FTDagTemplate:
     try:
         payload = json.loads(text)
@@ -655,7 +554,6 @@ __all__ = [
     "instantiate",
     "sort_temporal",
     "make_template",
-    "macro_projection",
     "iter_compatible_templates",
     "enumerate_compatible_templates",
     "count_compatible_templates",
@@ -664,10 +562,7 @@ __all__ = [
     "undominated_templates",
     "unroll",
     "padded_window",
-    "d_separated",
-    "d_separated_bruteforce",
     "possible_descendants",
-    "possible_descendants_bruteforce",
     "template_from_json",
     "query_from_json",
     "scg_from_json",

@@ -1,0 +1,183 @@
+"""Reference implementations that the tests compare the library against.
+
+Each one is the plain or exhaustive form of a fact that the library derives
+by a faster route: d-separation by path enumeration, possible descendants as
+a union over every compatible template, strongly connected components by
+Tarjan's algorithm.  Several are exponential and meant for small graphs only.
+None of them is used by the package itself.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable
+
+from scgadjust.graph import SCG, NodeId, SccPartition, cycle_profile, d_connected
+from scgadjust.unroll import (
+    FTDagTemplate,
+    TemporalVar,
+    UnrolledGraph,
+    enumerate_compatible_templates,
+    unroll,
+)
+
+
+def macro_projection(tmpl: FTDagTemplate) -> SCG:
+    """Collapse a template back to its macro graph (one edge per non-empty lag set)."""
+    return SCG(tmpl.scg.nodes, frozenset(edge for edge, ls in tmpl.lag_entries if ls))
+
+
+def on_any_cycle(g: SCG, v: NodeId) -> bool:
+    return cycle_profile(g, v).on_any_cycle
+
+
+def without_outgoing(u: UnrolledGraph, v: TemporalVar) -> UnrolledGraph:
+    """``u`` with the edges leaving ``v`` removed."""
+    u.check_nodes([v])
+    return UnrolledGraph(
+        u.window,
+        u.series,
+        u.nodes,
+        frozenset(e for e in u.edges if e[0] != v),
+    )
+
+
+def d_separated(
+    u: UnrolledGraph,
+    a: Iterable[TemporalVar],
+    b: Iterable[TemporalVar],
+    z: Iterable[TemporalVar],
+) -> bool:
+    """Whether ``z`` blocks every path between ``a`` and ``b``: the arguments
+    are checked here and mapped to bits of ``u.nodes``, the walk is the shared
+    Bayes-ball ``graph.d_connected``."""
+    a, b, z = frozenset(a), frozenset(b), frozenset(z)
+    if a & b or a & z or b & z:
+        raise ValueError("a, b, z must be pairwise disjoint")
+    u.check_nodes(a | b | z)
+    index = {v: i for i, v in enumerate(u.nodes)}
+
+    def mask(vs: Iterable[TemporalVar]) -> int:
+        return sum(1 << index[v] for v in vs)
+
+    parents = [mask(u.parents[v]) for v in u.nodes]
+    children = [mask(u.children[v]) for v in u.nodes]
+    return not d_connected(parents, children, mask(a), mask(b), mask(z))
+
+
+def d_separated_bruteforce(
+    u: UnrolledGraph,
+    a: Iterable[TemporalVar],
+    b: Iterable[TemporalVar],
+    z: Iterable[TemporalVar],
+) -> bool:
+    """Path-enumeration oracle for d-separation; exponential, small graphs only."""
+    a, b, z = frozenset(a), frozenset(b), frozenset(z)
+    if a & b or a & z or b & z:
+        raise ValueError("a, b, z must be pairwise disjoint")
+    u.check_nodes(a | b | z)
+
+    def path_active(path: list[TemporalVar], directions: list[bool]) -> bool:
+        # directions[i] is True when the i-th step follows the edge forward.
+        for i in range(1, len(path) - 1):
+            into_prev = directions[i - 1]
+            out_next = directions[i]
+            collider = into_prev and not out_next
+            if collider:
+                if not (u.descendants_of([path[i]]) & z):
+                    return False
+            else:
+                if path[i] in z:
+                    return False
+        return True
+
+    for x in a:
+        stack = [(x, [x], [])]
+        while stack:
+            v, path, dirs = stack.pop()
+            if v in b and len(path) > 1:
+                if path_active(path, dirs):
+                    return False
+                continue
+            for w in u.children[v]:
+                if w not in path:
+                    stack.append((w, path + [w], dirs + [True]))
+            for w in u.parents[v]:
+                if w not in path:
+                    stack.append((w, path + [w], dirs + [False]))
+    return True
+
+
+def possible_descendants_bruteforce(
+    g: SCG,
+    v: str,
+    offset: int,
+    window: tuple[int, int],
+    gamma_max: int,
+    cap: int = 100_000,
+) -> frozenset[TemporalVar]:
+    """Union of descendant sets over every enumerated compatible template."""
+    lo, hi = window
+    if not (lo <= offset <= hi):
+        raise ValueError(f"offset {offset} outside window {window}")
+    out: set[TemporalVar] = set()
+    start = TemporalVar(v, offset)
+    for tmpl in enumerate_compatible_templates(g, gamma_max, cap):
+        u = unroll(tmpl, lo, hi)
+        out |= u.descendants_of([start])
+    return frozenset(out)
+
+
+def tarjan(g: SCG) -> SccPartition:
+    """Tarjan's algorithm, iterative; components ordered by smallest member index."""
+    index_of: dict[NodeId, int] = {}
+    lowlink: dict[NodeId, int] = {}
+    on_stack: set[NodeId] = set()
+    stack: list[NodeId] = []
+    counter = 0
+    raw_components: list[set[NodeId]] = []
+    children = g._children
+
+    for root in g.nodes:
+        if root in index_of:
+            continue
+        work = [(root, iter(children[root]))]
+        index_of[root] = lowlink[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            v, it = work[-1]
+            advanced = False
+            for w in it:
+                if w not in index_of:
+                    index_of[w] = lowlink[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(children[w])))
+                    advanced = True
+                    break
+                if w in on_stack:
+                    lowlink[v] = min(lowlink[v], index_of[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                lowlink[parent] = min(lowlink[parent], lowlink[v])
+            if lowlink[v] == index_of[v]:
+                comp = set()
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    comp.add(w)
+                    if w == v:
+                        break
+                raw_components.append(comp)
+
+    ordered = sorted(
+        (tuple(g.sorted_nodes(c)) for c in raw_components),
+        key=lambda c: g.index(c[0]),
+    )
+    component_of = {v: i for i, comp in enumerate(ordered) for v in comp}
+    return SccPartition(component_of=component_of, components=tuple(ordered))

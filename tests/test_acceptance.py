@@ -25,7 +25,6 @@ from scgadjust import (
     ftdag_opt,
     identify,
     possible_descendants,
-    possible_descendants_bruteforce,
     qopt_witness_template,
     qopt,
     scg_backdoor_check,
@@ -38,6 +37,7 @@ from scgadjust.simulate import variance_experiment
 from scgadjust.unroll import count_compatible_templates, count_densest_templates
 
 from .conftest import query, zset
+from .references import possible_descendants_bruteforce
 
 DESK_CORPUS = CorpusConfig(
     n_graphs=200,

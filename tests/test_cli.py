@@ -15,6 +15,8 @@ import scgadjust
 from scgadjust.cli import run
 from scgadjust.oracle import soundness_experiment
 
+from .conftest import bounded
+
 
 @pytest.fixture()
 def graph_file(tmp_path, persistence_chain):
@@ -28,6 +30,12 @@ def feedback_file(tmp_path, cycle_pair_confounded):
     path = tmp_path / "feedback.json"
     path.write_text(cycle_pair_confounded.to_json())
     return str(path)
+
+
+def ring(n):
+    """A directed ring of ``n`` series, as graph JSON: 2**n - 2 densest templates."""
+    names = [f"V{i}" for i in range(n)]
+    return {"nodes": names, "edges": [[v, names[i - 1]] for i, v in enumerate(names)]}
 
 
 def q_flags(graph, gamma="1"):
@@ -133,10 +141,19 @@ class TestUnroll:
         assert "X@0 -> Y@0" in out
 
     @pytest.mark.parametrize("densest", [False, True])
-    @pytest.mark.parametrize("edges", [[["X", "Y"]], [["X", "Y"], ["Y", "X"]]], ids=["edge", "2-cycle"])
-    def test_gamma_max_zero_exit_4(self, tmp_path, capsys, edges, densest):
+    @pytest.mark.parametrize(
+        "graph",
+        # The 8-ring has more densest templates than the default cap.
+        [
+            {"nodes": ["X", "Y"], "edges": [["X", "Y"]]},
+            {"nodes": ["X", "Y"], "edges": [["X", "Y"], ["Y", "X"]]},
+            ring(8),
+        ],
+        ids=["edge", "2-cycle", "8-ring"],
+    )
+    def test_gamma_max_zero_exit_4(self, tmp_path, capsys, graph, densest):
         path = tmp_path / "g.json"
-        path.write_text(json.dumps({"nodes": ["X", "Y"], "edges": edges}))
+        path.write_text(json.dumps(graph))
         argv = ["unroll", "--graph", str(path), "--gamma-max", "0"]
         code = run(argv + ["--densest"] if densest else argv)
         captured = capsys.readouterr()
@@ -152,6 +169,29 @@ class TestUnroll:
 
     def test_over_cap_at_large_gamma_max_exit_5(self, graph_file, capsys):
         assert run(["unroll", "--graph", graph_file, "--gamma-max", "40"]) == 5
+        assert capsys.readouterr().out == ""
+
+    @staticmethod
+    def ring_file(tmp_path, n):
+        path = tmp_path / f"ring{n}.json"
+        path.write_text(json.dumps(ring(n)))
+        return str(path)
+
+    def test_densest_honours_cap(self, tmp_path, capsys):
+        argv = ["unroll", "--graph", self.ring_file(tmp_path, 8), "--densest"]
+        assert run(argv) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: more than 50 compatible templates (stopped at 254)\n"
+        assert run(argv + ["--template-cap", "300"]) == 0
+        assert run(argv + ["--template-cap", "300", "--template-index", "253"]) == 0
+        assert run(argv + ["--template-cap", "0"]) == 4
+
+    def test_densest_over_cap_walks_no_node_order(self, tmp_path, capsys):
+        # The cap test counts the 1,022 densest templates by arithmetic,
+        # before any of the 10! node orders is walked.
+        argv = ["unroll", "--graph", self.ring_file(tmp_path, 10), "--densest"]
+        assert bounded(lambda: run(argv), timeout=5) == 5
         assert capsys.readouterr().out == ""
 
     def test_missing_file_exit_4(self):

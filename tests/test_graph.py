@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from scgadjust import (
 from scgadjust.graph import closure, d_connected, simple_directed_paths, topological_order
 
 from .conftest import small_scgs
+from .references import tarjan
 
 
 class TestValidate:
@@ -106,6 +109,27 @@ class TestScc:
     @given(small_scgs())
     def test_deterministic(self, g):
         assert scc_partition(g) == scc_partition(g)
+
+    @staticmethod
+    def assert_same_as_tarjan(g):
+        # The densest templates and the template counts walk the components
+        # in this order, so order counts as well as membership.
+        part, ref = scc_partition(g), tarjan(g)
+        assert part.components == ref.components
+        assert list(part.component_of.items()) == list(ref.component_of.items())
+
+    @given(small_scgs(max_nodes=6))
+    def test_matches_tarjan(self, g):
+        self.assert_same_as_tarjan(g)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_tarjan_on_larger_graphs(self, seed):
+        rng = random.Random(f"scc-tarjan:{seed}")
+        names = [f"V{i}" for i in range(rng.choice((20, 30, 40)))]
+        rng.shuffle(names)
+        p = rng.uniform(1.0, 2.0) / len(names)
+        g = validate_scg(names, [(u, w) for u in names for w in names if rng.random() < p])
+        self.assert_same_as_tarjan(g)
 
 
 def _cycles_through(g, v, max_len=8):

@@ -43,9 +43,10 @@ from scgadjust import (
 import scgadjust.graph
 from scgadjust.graph import closure, cycle_profile, scc_of
 from scgadjust.identify import BackdoorTester, query_facts
-from scgadjust.unroll import d_separated_bruteforce, instantiate, padded_window, unroll
+from scgadjust.unroll import instantiate, padded_window, unroll
 
 from .conftest import bounded, query, small_scgs, tv, zset
+from .references import d_separated, d_separated_bruteforce, without_outgoing
 
 
 def _verdict_with_subgraph(g, q, condition_c_form):
@@ -300,7 +301,6 @@ class TestClassicalBackdoor:
         # running the generic d-separation routine.
         from itertools import combinations
 
-        from scgadjust import d_separated
         from scgadjust.unroll import instantiate, padded_window, unroll
 
         for tmpl, q in [
@@ -310,7 +310,7 @@ class TestClassicalBackdoor:
         ]:
             u = unroll(tmpl, *padded_window(tmpl.scg, q))
             x, y = q.treatment_var, q.outcome_var
-            pruned = u.without_outgoing(x)
+            pruned = without_outgoing(u, x)
             de_x = u.descendants_of([x])
             pool = sorted(instantiate(tmpl.scg.nodes, q.window_floor, 0) - {x, y})
             for k in (0, 1, 2):
@@ -403,7 +403,7 @@ class TestBitmaskTester:
         for pad in (0, q.gamma_max + 1):
             u = unroll(t, *padded_window(t.scg, q, pad))
             expected = not (z & u.descendants_of([x])) and d_separated_bruteforce(
-                u.without_outgoing(x), [x], [y], z
+                without_outgoing(u, x), [x], [y], z
             )
             assert BackdoorTester(t, q, pad).check(z) == expected
 
@@ -415,7 +415,7 @@ class TestBitmaskTester:
         x, y = q.treatment_var, q.outcome_var
         for pad in (0, q.gamma_max + 1):
             u = unroll(t, *padded_window(t.scg, q, pad))
-            pruned = u.without_outgoing(x)
+            pruned = without_outgoing(u, x)
             clash = bool(z & u.descendants_of([x]))
             expected = not clash and not set_based_d_connected(pruned.parents, pruned.children, [x], {y}, z)
             tester = BackdoorTester(t, q, pad)

@@ -11,19 +11,15 @@ from scgadjust import (
     TemplateCapExceeded,
     TemplateError,
     TemporalVar,
-    d_separated,
-    d_separated_bruteforce,
     densest_templates,
     enumerate_compatible_templates,
     instantiate,
-    macro_projection,
     make_template,
     possible_descendants,
-    possible_descendants_bruteforce,
     unroll,
     validate_scg,
 )
-from scgadjust.graph import GraphError, on_any_cycle, scc_partition
+from scgadjust.graph import GraphError, scc_partition
 from scgadjust.oracle import CorpusConfig, random_scg
 from scgadjust.unroll import (
     count_compatible_templates,
@@ -34,6 +30,13 @@ from scgadjust.unroll import (
 )
 
 from .conftest import bounded, small_scgs, tv, zset
+from .references import (
+    d_separated,
+    d_separated_bruteforce,
+    macro_projection,
+    on_any_cycle,
+    possible_descendants_bruteforce,
+)
 
 
 class TestQuery:
