@@ -12,8 +12,9 @@ work on ``adj[v]`` lookups, so the same code serves name-keyed SCG indexes,
 ``TemporalVar``-keyed unrollings and int-indexed adjacency lists.
 ``closure`` is the one reachability walk: an SCG's ancestors, descendants
 and strongly connected components (classes of mutual reachability) all come
-from it.  ``d_connected`` is the package's one Bayes-ball; it works on int
-masks, bit i standing for node i.
+from it; ``mask_closure`` is the same walk over int masks, bit i standing
+for node i.  ``d_connected`` is the package's one Bayes-ball; it works on
+int masks too.
 """
 
 from __future__ import annotations
@@ -41,19 +42,35 @@ class SCG:
     # and children.
     _parents: dict[NodeId, tuple[NodeId, ...]] = field(repr=False, compare=False, hash=False, default=None)
     _children: dict[NodeId, tuple[NodeId, ...]] = field(repr=False, compare=False, hash=False, default=None)
-    # Set by ``scc_partition`` on first use, never by the constructor.
+    _edge_list: tuple[tuple[NodeId, NodeId], ...] = field(init=False, repr=False, compare=False, hash=False, default=())
+    # The graph is a key of the per-query caches, so its hash is computed once.
+    _hash: int = field(init=False, repr=False, compare=False, hash=False, default=0)
+    # Set on first use, never by the constructor: the partition by
+    # ``scc_partition``, the edge split by ``unroll``.
     _scc: SccPartition | None = field(init=False, repr=False, compare=False, hash=False, default=None)
+    _split: tuple | None = field(init=False, repr=False, compare=False, hash=False, default=None)
 
     def __post_init__(self):
         index = {v: i for i, v in enumerate(self.nodes)}
         parents: dict[NodeId, list[NodeId]] = {v: [] for v in self.nodes}
         children: dict[NodeId, list[NodeId]] = {v: [] for v in self.nodes}
-        for (u, w) in sorted(self.edges, key=lambda e: (index[e[0]], index[e[1]])):
+        edge_list = tuple(sorted(self.edges, key=lambda e: (index[e[0]], index[e[1]])))
+        for (u, w) in edge_list:
             parents[w].append(u)
             children[u].append(w)
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_parents", {v: tuple(ps) for v, ps in parents.items()})
         object.__setattr__(self, "_children", {v: tuple(cs) for v, cs in children.items()})
+        object.__setattr__(self, "_edge_list", edge_list)
+        object.__setattr__(self, "_hash", hash((self.nodes, self.edges)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuilt from its fields: a string's hash, and so the cached one,
+        # differs between interpreters.
+        return SCG, (self.nodes, self.edges)
 
     def index(self, v: NodeId) -> int:
         try:
@@ -66,9 +83,9 @@ class SCG:
             self.index(v)
 
     @property
-    def edge_list(self) -> list[tuple[NodeId, NodeId]]:
+    def edge_list(self) -> tuple[tuple[NodeId, NodeId], ...]:
         """Edges sorted by (source, target) declaration order."""
-        return sorted(self.edges, key=lambda e: (self._index[e[0]], self._index[e[1]]))
+        return self._edge_list
 
     def parents(self, v: NodeId) -> frozenset[NodeId]:
         self.index(v)
@@ -219,6 +236,18 @@ def d_connected(parents: Sequence[int], children: Sequence[int], a: int, b: int,
         up |= new_up
         down |= new_down
     return False
+
+
+def mask_closure(children: Sequence[int], seeds: int) -> int:
+    """``closure`` over int masks: the nodes reachable from the bits of
+    ``seeds``, themselves included, ``children[i]`` being the mask of node
+    i's children."""
+    reached, todo = 0, seeds
+    while todo:
+        low = todo & -todo
+        reached |= low
+        todo = (todo | children[low.bit_length() - 1]) & ~reached
+    return reached
 
 
 def descendants(g: SCG, s: Iterable[NodeId]) -> frozenset[NodeId]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .graph import (
     SCG,
@@ -30,6 +30,7 @@ from .graph import (
     cycle_profile,
     d_connected,
     descendants,
+    mask_closure,
     scc_of,
     scc_partition,
     simple_directed_paths,
@@ -81,12 +82,15 @@ class Verdict:
         return dict(self.witness)
 
 
+@lru_cache(maxsize=1)
 def identify(g: SCG, q: MicroQuery, condition_c_form: str = "cycles") -> Verdict:
     """Classify the query; conditions are evaluated in the order A, B, C.
 
     ``condition_c_form`` selects between the cycle-profile test on the outcome
     ("cycles") and the equivalent component test on the treatment
     ("component"); under the A-then-B-then-C order both give the same verdict.
+    The verdict of the most recent call is kept, like ``query_facts``, so the
+    facts of a query just classified do not classify it again.
     """
     g.check_nodes([q.treatment, q.outcome])
     x, y = q.treatment, q.outcome
@@ -205,6 +209,12 @@ class CriterionReport:
         }
 
 
+NOT_IDENTIFIABLE_REPORT = CriterionReport(
+    False, None, None, EMPTY, ("effect not identifiable by adjustment",)
+)
+NON_ANCESTOR_REPORT = CriterionReport(True, None, None, EMPTY)
+
+
 # Instantaneous acceptances through the partition item are known to admit
 # invalid sets when some causal node lies on a cycle: temporal back-door
 # routes can re-enter the cycle along edges whose series-level trace is not
@@ -225,6 +235,12 @@ class _QueryFacts:
     possible descendants are computed up front; the rest on first use, so a
     query that is not identifiable or has a non-ancestor treatment, or a set
     rejected on the descendant clash, never searches a simple path.
+
+    The reports are frozen, so ``report`` hands out one instance per
+    distinct outcome and renders its violation text once: per descendant
+    clash, per tuple of the items' gaps ``core - z`` of a rejected set, per
+    item accepting through its core.  Only an acceptance by a partition
+    item, whose mandated part depends on the set, is built per call.
     """
 
     def __init__(self, g: SCG, q: MicroQuery):
@@ -234,7 +250,39 @@ class _QueryFacts:
         self.floor = q.window_floor
         self.d = possible_descendants(g, q.treatment, -q.gamma, (self.floor, 0), q.gamma_max)
         self._z1: dict[frozenset[str], AdjustmentSet] = {}
-        self._clash_reports: dict[AdjustmentSet, CriterionReport] = {}
+        # Interned reports, keyed by a clash (a set of temporal variables), a
+        # tuple of gaps (sets of temporal variables) or an item name; no two
+        # kinds of key compare equal.
+        self._reports: dict[object, CriterionReport] = {}
+
+    def _interned(self, key: object, make: Callable[[], CriterionReport]) -> CriterionReport:
+        report = self._reports.get(key)
+        if report is None:
+            report = self._reports[key] = make()
+        return report
+
+    def report(self, z: AdjustmentSet) -> CriterionReport:
+        """The criterion's report on ``z``, an in-window set; see
+        ``scg_backdoor_check``."""
+        kind = self.verdict.kind
+        if kind is VerdictKind.NOT_IDENTIFIABLE:
+            return NOT_IDENTIFIABLE_REPORT
+        clash = z & self.d
+        if clash:
+            # The hot path: most candidate sets end here, so no helper call.
+            report = self._reports.get(clash)
+            if report is None:
+                rank, label = self.descendant_labels
+                labels = ", ".join(map(label.__getitem__, sorted(clash, key=rank.__getitem__)))
+                report = self._reports[clash] = CriterionReport(
+                    False, None, None, EMPTY, (f"possible descendant of treatment in set: {labels}",)
+                )
+            return report
+        if kind is VerdictKind.NON_ANCESTOR:
+            return NON_ANCESTOR_REPORT
+        if kind is VerdictKind.COND_C:
+            return self._condition_c_report(z)
+        return self._ab_report(z)
 
     @cached_property
     def cn(self) -> frozenset[str]:
@@ -251,19 +299,64 @@ class _QueryFacts:
         order = sort_temporal(self.g, self.d)
         return {tv: i for i, tv in enumerate(order)}, {tv: tv.label() for tv in order}
 
-    def clash_report(self, clash: AdjustmentSet) -> CriterionReport:
-        """The rejection of a set whose possible descendants are ``clash``.
-        Memoised per clash: the report is frozen, so every set with the same
-        clash shares one instance."""
-        report = self._clash_reports.get(clash)
-        if report is None:
-            rank, label = self.descendant_labels
-            labels = ", ".join(map(label.__getitem__, sorted(clash, key=rank.__getitem__)))
-            report = CriterionReport(
-                False, None, None, EMPTY, (f"possible descendant of treatment in set: {labels}",)
+    def _labels(self, gap: AdjustmentSet) -> str:
+        return ", ".join(tv.label() for tv in sort_temporal(self.g, gap))
+
+    @cached_property
+    def ab_items(self) -> tuple[tuple[str, AdjustmentSet | None], ...]:
+        """The items of condition A or B in document order, each with its
+        core, or None when the query has none."""
+        _, items = _AB_ITEMS[self.verdict.kind]
+        return tuple((item, self.cores.get(f"{item}-core")) for item in items)
+
+    def _ab_report(self, z: AdjustmentSet) -> CriterionReport:
+        """Items are tried in document order; the first that accepts ``z``
+        names the report.  A rejection depends on ``z`` only through the
+        gaps of the core items, the partition items rejecting with a fixed
+        text."""
+        condition, _ = _AB_ITEMS[self.verdict.kind]
+        gaps: list[AdjustmentSet] = []
+        for item, core in self.ab_items:
+            if core is None:
+                continue
+            if item in _PARTITION_ITEMS:
+                z1 = self.partition_witness(z)
+                if z1 is not None:
+                    return CriterionReport(True, condition, item, z1, caveats=self.partition_caveats())
+                continue
+            gap = core - z
+            if not gap:
+                return self._interned(item, lambda: CriterionReport(True, condition, item, core))
+            gaps.append(gap)
+        return self._interned(tuple(gaps), lambda: self._ab_rejection(condition, gaps))
+
+    def _ab_rejection(self, condition: str, gaps: list[AdjustmentSet]) -> CriterionReport:
+        violations = []
+        rest = iter(gaps)
+        for item, core in self.ab_items:
+            if core is None:
+                violations.append(f"{item}: {_INAPPLICABLE[item]}")
+            elif item in _PARTITION_ITEMS:
+                violations.append(f"{item}: no mandated/free partition of the set exists")
+            else:
+                violations.append(f"{item}: missing {self._labels(next(rest))}")
+        return CriterionReport(False, condition, None, EMPTY, tuple(violations))
+
+    def _condition_c_report(self, z: AdjustmentSet) -> CriterionReport:
+        base, all_x, all_y = self.condition_c_parts
+        gap = base - z
+        if gap:
+            return self._interned(
+                (gap,), lambda: CriterionReport(False, "C", None, EMPTY, (f"C: missing {self._labels(gap)}",))
             )
-            self._clash_reports[clash] = report
-        return report
+        for key, part in (("C-x", all_x), ("C-y", all_y)):
+            if part <= z:
+                return self._interned(key, lambda: CriterionReport(True, "C", "C", base | part))
+        neither = (
+            "C: neither full treatment-parent slice nor full outcome-parent slice "
+            f"at offset {self.floor} is covered"
+        )
+        return self._interned("C", lambda: CriterionReport(False, "C", None, EMPTY, (neither,)))
 
     @cached_property
     def cores(self) -> dict[str, AdjustmentSet]:
@@ -345,9 +438,9 @@ class _QueryFacts:
 
 
 @lru_cache(maxsize=1)
-def window_vars(nodes: tuple[str, ...], floor: int) -> AdjustmentSet:
-    """Every series at every offset of the adjustment window [floor, 0]."""
-    return instantiate(nodes, floor, 0)
+def window_vars(g: SCG, floor: int) -> AdjustmentSet:
+    """Every series of ``g`` at every offset of the adjustment window [floor, 0]."""
+    return instantiate(g.nodes, floor, 0)
 
 
 @lru_cache(maxsize=1)
@@ -392,58 +485,9 @@ def scg_backdoor_check(g: SCG, q: MicroQuery, z: Iterable[TemporalVar]) -> Crite
     """
     z = frozenset(z)
     # A bad set is reported before the query's facts are built.
-    if not z <= window_vars(g.nodes, q.window_floor):
+    if not z <= window_vars(g, q.window_floor):
         _check_z_shape(g, q, z)
-    facts = query_facts(g, q)
-    verdict = facts.verdict
-
-    if verdict.kind is VerdictKind.NOT_IDENTIFIABLE:
-        return CriterionReport(False, None, None, EMPTY, ("effect not identifiable by adjustment",))
-
-    clash = z & facts.d
-    if clash:
-        return facts.clash_report(clash)
-
-    if verdict.kind is VerdictKind.NON_ANCESTOR:
-        return CriterionReport(True, None, None, EMPTY)
-
-    violations: list[str] = []
-
-    def missing(core: AdjustmentSet) -> str:
-        gap = sort_temporal(g, core - z)
-        return ", ".join(tv.label() for tv in gap)
-
-    if verdict.kind in _AB_ITEMS:
-        condition, items = _AB_ITEMS[verdict.kind]
-        for item in items:
-            core = facts.cores.get(f"{item}-core")
-            if core is None:
-                violations.append(f"{item}: {_INAPPLICABLE[item]}")
-            elif item in _PARTITION_ITEMS:
-                z1 = facts.partition_witness(z)
-                if z1 is not None:
-                    caveats = facts.partition_caveats()
-                    return CriterionReport(True, condition, item, z1, caveats=caveats)
-                violations.append(f"{item}: no mandated/free partition of the set exists")
-            elif core <= z:
-                return CriterionReport(True, condition, item, core)
-            else:
-                violations.append(f"{item}: missing {missing(core)}")
-        return CriterionReport(False, condition, None, EMPTY, tuple(violations))
-
-    base, all_x, all_y = facts.condition_c_parts
-    if base <= z:
-        if all_x <= z:
-            return CriterionReport(True, "C", "C", base | all_x)
-        if all_y <= z:
-            return CriterionReport(True, "C", "C", base | all_y)
-        violations.append(
-            "C: neither full treatment-parent slice nor full outcome-parent slice "
-            f"at offset {facts.floor} is covered"
-        )
-    else:
-        violations.append(f"C: missing {missing(base)}")
-    return CriterionReport(False, "C", None, EMPTY, tuple(violations))
+    return query_facts(g, q).report(z)
 
 
 def set_a1(g: SCG, q: MicroQuery) -> AdjustmentSet:
@@ -511,14 +555,49 @@ def ftdag_opt(tmpl: FTDagTemplate, q: MicroQuery) -> AdjustmentSet:
     return frozenset(parents) - de_x
 
 
+class _WindowBits:
+    """Bit positions of a graph's temporal variables over one unrolling
+    window, bit ``(offset - lo) * |nodes| + series index``.  Every tester over
+    the window shares one, so the mask of a set that they check in turn is
+    worked out once: the last frozen set's mask is kept."""
+
+    def __init__(self, g: SCG, window: tuple[int, int]):
+        self.window = window
+        self._series = g._index
+        self._n = len(g.nodes)
+        self._last: tuple[AdjustmentSet | None, int] = (None, 0)
+
+    def mask(self, z: Iterable[TemporalVar]) -> int:
+        last, m = self._last
+        if z is last:
+            return m
+        lo, hi = self.window
+        m = 0
+        for tv in z:
+            series, offset = tv
+            i = self._series.get(series)
+            if i is None or not lo <= offset <= hi:
+                raise GraphError(f"temporal node {tv} outside window {self.window}")
+            m |= 1 << ((offset - lo) * self._n + i)
+        if type(z) is frozenset:
+            self._last = (z, m)
+        return m
+
+
+@lru_cache(maxsize=2)
+def _window_bits(g: SCG, window: tuple[int, int]) -> _WindowBits:
+    # Two entries: the oracle checks each set at two paddings in turn.
+    return _WindowBits(g, window)
+
+
 class BackdoorTester:
     """Reusable classical back-door check against one template.
 
     Builds int masks of the padded unrolling straight from the template's lag
-    entries, bit ``(offset - lo) * |nodes| + series index``, without an
-    ``UnrolledGraph``.  The treatment's outgoing edges are pruned from the
-    parent and child masks; its descendant mask keeps them.  ``check`` then
-    costs one descendant-mask test plus one run of the shared Bayes-ball
+    entries, without an ``UnrolledGraph``; the bits are those of the
+    window's ``_WindowBits``.  The treatment's outgoing edges are pruned from
+    the parent and child masks; its descendant mask keeps them.  ``check``
+    then costs one descendant-mask test plus one run of the shared Bayes-ball
     ``graph.d_connected``.
     """
 
@@ -526,11 +605,12 @@ class BackdoorTester:
         self.q = q
         g = tmpl.scg
         self.window = lo, hi = padded_window(g, q, extra_padding)
-        self._series = index = g._index
-        self._n = n = len(g.nodes)
+        self._bits = _window_bits(g, self.window)
+        index = g._index
+        n = len(g.nodes)
         slices = hi - lo + 1
-        self._x = x = self._mask([q.treatment_var])
-        self._y = self._mask([q.outcome_var])
+        self._x = x = self._bits.mask([q.treatment_var])
+        self._y = self._bits.mask([q.outcome_var])
         xi = x.bit_length() - 1
         self._parents = parents = [0] * (n * slices)
         self._children = children = [0] * (n * slices)
@@ -546,29 +626,13 @@ class BackdoorTester:
                     else:
                         parents[dst] |= 1 << src
                         children[src] |= 1 << dst
-        de_x, todo = x, x_children
-        while todo:
-            low = todo & -todo
-            de_x |= low
-            todo = (todo | children[low.bit_length() - 1]) & ~de_x
-        self._de_x = de_x
-
-    def _mask(self, z: Iterable[TemporalVar]) -> int:
-        lo, hi = self.window
-        m = 0
-        for tv in z:
-            series, offset = tv
-            i = self._series.get(series)
-            if i is None or not lo <= offset <= hi:
-                raise GraphError(f"temporal node {tv} outside window {self.window}")
-            m |= 1 << ((offset - lo) * self._n + i)
-        return m
+        self._de_x = x | mask_closure(children, x_children)
 
     def descendant_clash(self, z: Iterable[TemporalVar]) -> bool:
-        return bool(self._mask(z) & self._de_x)
+        return bool(self._bits.mask(z) & self._de_x)
 
     def check(self, z: Iterable[TemporalVar]) -> bool:
-        zm = self._mask(z)
+        zm = self._bits.mask(z)
         if zm & self._de_x:
             return False
         return not d_connected(self._parents, self._children, self._x, self._y, zm)

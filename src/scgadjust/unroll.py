@@ -46,10 +46,16 @@ class TemplateError(ValueError):
 
 
 class TemplateCapExceeded(RuntimeError):
-    """More compatible templates exist than the requested cap allows."""
+    """More templates exist than the requested cap allows: compatible ones,
+    counted up to the first past the cap, or ``densest`` ones, counted
+    exactly."""
 
-    def __init__(self, cap: int, partial_count: int):
-        super().__init__(f"more than {cap} compatible templates (stopped at {partial_count})")
+    def __init__(self, cap: int, partial_count: int, densest: bool = False):
+        if densest:
+            message = f"{partial_count} densest templates, more than the template cap of {cap}"
+        else:
+            message = f"more than {cap} compatible templates (stopped at {partial_count})"
+        super().__init__(message)
         self.cap = cap
         self.partial_count = partial_count
 
@@ -62,6 +68,8 @@ class MicroQuery:
     outcome: str
     gamma: int
     gamma_max: int
+    # The query is a key of the per-query caches, so its hash is computed once.
+    _hash: int = field(init=False, repr=False, compare=False, hash=False, default=0)
 
     def __post_init__(self):
         if self.treatment == self.outcome:
@@ -70,6 +78,15 @@ class MicroQuery:
             raise QueryError("gamma must be >= 0")
         if self.gamma_max < 1:
             raise QueryError("gamma_max must be >= 1")
+        object.__setattr__(self, "_hash", hash((self.treatment, self.outcome, self.gamma, self.gamma_max)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuilt from its fields: a string's hash, and so the cached one,
+        # differs between interpreters.
+        return MicroQuery, (self.treatment, self.outcome, self.gamma, self.gamma_max)
 
     @property
     def window_floor(self) -> int:
@@ -296,19 +313,24 @@ def _maximal_acyclic_subsets(nodes: tuple[str, ...], edges: list[tuple[str, str]
 def _split_edges(g: SCG) -> tuple[SccPartition, list[tuple[str, str]], dict[int, list[tuple[str, str]]]]:
     """The strongly connected components of ``g``, its non-self edges
     between two components, and its non-self edges within one, by component
-    index.  Only the last can close a lag-0 cycle."""
-    part = scc_partition(g)
-    comp = part.component_of
-    between: list[tuple[str, str]] = []
-    internal: dict[int, list[tuple[str, str]]] = {}
-    for (u, w) in g.edge_list:
-        if u == w:
-            continue
-        if comp[u] == comp[w]:
-            internal.setdefault(comp[u], []).append((u, w))
-        else:
-            between.append((u, w))
-    return part, between, internal
+    index.  Only the last can close a lag-0 cycle.  Computed on first use
+    and kept on ``g``, like the partition: the graph is frozen."""
+    split = g._split
+    if split is None:
+        part = scc_partition(g)
+        comp = part.component_of
+        between: list[tuple[str, str]] = []
+        internal: dict[int, list[tuple[str, str]]] = {}
+        for (u, w) in g.edge_list:
+            if u == w:
+                continue
+            if comp[u] == comp[w]:
+                internal.setdefault(comp[u], []).append((u, w))
+            else:
+                between.append((u, w))
+        split = part, between, internal
+        object.__setattr__(g, "_split", split)
+    return split
 
 
 def _zero_lag_choices(g: SCG) -> tuple[set[tuple[str, str]], list[list[frozenset[tuple[str, str]]]]]:

@@ -3,8 +3,9 @@
 Each one is the plain or exhaustive form of a fact that the library derives
 by a faster route: d-separation by path enumeration, possible descendants as
 a union over every compatible template, strongly connected components by
-Tarjan's algorithm.  Several are exponential and meant for small graphs only.
-None of them is used by the package itself.
+Tarjan's algorithm, the criterion's reports built and rendered afresh on
+every call.  Several are exponential and meant for small graphs only.  None
+of them is used by the package itself.
 """
 
 from __future__ import annotations
@@ -12,11 +13,15 @@ from __future__ import annotations
 from typing import Iterable
 
 from scgadjust.graph import SCG, NodeId, SccPartition, cycle_profile, d_connected
+from scgadjust.identify import EMPTY, CriterionReport, VerdictKind, _check_z_shape, query_facts
 from scgadjust.unroll import (
     FTDagTemplate,
+    MicroQuery,
     TemporalVar,
     UnrolledGraph,
     enumerate_compatible_templates,
+    instantiate,
+    sort_temporal,
     unroll,
 )
 
@@ -181,3 +186,75 @@ def tarjan(g: SCG) -> SccPartition:
     )
     component_of = {v: i for i, comp in enumerate(ordered) for v in comp}
     return SccPartition(component_of=component_of, components=tuple(ordered))
+
+
+_AB_ITEMS = {
+    VerdictKind.COND_A: ("A", ("A.1", "A.2", "A.3", "A.4")),
+    VerdictKind.COND_B: ("B", ("B.1", "B.2")),
+}
+_INAPPLICABLE = {
+    "A.2": "treatment lies on a cycle",
+    "A.3": "requires gamma = 0",
+    "A.4": "requires a cycle on the treatment and gamma > 0",
+}
+_PARTITION_ITEMS = ("A.3", "B.2")
+
+
+def eager_scg_backdoor_check(g: SCG, q: MicroQuery, z: Iterable[TemporalVar]) -> CriterionReport:
+    """The macro criterion with a new report, its violation text rendered
+    afresh, on every call.  It reads the cores, the partition search and the
+    condition-C parts from the query's facts, as the library does, and
+    decides and words everything else itself."""
+    z = frozenset(z)
+    if not z <= instantiate(g.nodes, q.window_floor, 0):
+        _check_z_shape(g, q, z)
+    facts = query_facts(g, q)
+    verdict = facts.verdict
+
+    if verdict.kind is VerdictKind.NOT_IDENTIFIABLE:
+        return CriterionReport(False, None, None, EMPTY, ("effect not identifiable by adjustment",))
+
+    def labels(vars_: Iterable[TemporalVar]) -> str:
+        return ", ".join(tv.label() for tv in sort_temporal(g, vars_))
+
+    clash = z & facts.d
+    if clash:
+        return CriterionReport(
+            False, None, None, EMPTY, (f"possible descendant of treatment in set: {labels(clash)}",)
+        )
+
+    if verdict.kind is VerdictKind.NON_ANCESTOR:
+        return CriterionReport(True, None, None, EMPTY)
+
+    violations: list[str] = []
+    if verdict.kind in _AB_ITEMS:
+        condition, items = _AB_ITEMS[verdict.kind]
+        for item in items:
+            core = facts.cores.get(f"{item}-core")
+            if core is None:
+                violations.append(f"{item}: {_INAPPLICABLE[item]}")
+            elif item in _PARTITION_ITEMS:
+                z1 = facts.partition_witness(z)
+                if z1 is not None:
+                    caveats = facts.partition_caveats()
+                    return CriterionReport(True, condition, item, z1, caveats=caveats)
+                violations.append(f"{item}: no mandated/free partition of the set exists")
+            elif core <= z:
+                return CriterionReport(True, condition, item, core)
+            else:
+                violations.append(f"{item}: missing {labels(core - z)}")
+        return CriterionReport(False, condition, None, EMPTY, tuple(violations))
+
+    base, all_x, all_y = facts.condition_c_parts
+    if base <= z:
+        if all_x <= z:
+            return CriterionReport(True, "C", "C", base | all_x)
+        if all_y <= z:
+            return CriterionReport(True, "C", "C", base | all_y)
+        violations.append(
+            "C: neither full treatment-parent slice nor full outcome-parent slice "
+            f"at offset {facts.floor} is covered"
+        )
+    else:
+        violations.append(f"C: missing {labels(base - z)}")
+    return CriterionReport(False, "C", None, EMPTY, tuple(violations))

@@ -182,7 +182,7 @@ class TestUnroll:
         assert run(argv) == 5
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: more than 50 compatible templates (stopped at 254)\n"
+        assert captured.err == "error: 254 densest templates, more than the template cap of 50\n"
         assert run(argv + ["--template-cap", "300"]) == 0
         assert run(argv + ["--template-cap", "300", "--template-index", "253"]) == 0
         assert run(argv + ["--template-cap", "0"]) == 4

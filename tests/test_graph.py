@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -50,6 +54,31 @@ class TestValidate:
         again = scg_from_json(persistence_chain.to_json())
         assert again == persistence_chain
         assert again.to_json() == persistence_chain.to_json()
+
+    def test_pickle_across_hash_seeds(self, tmp_path):
+        # A graph and a query keep their hash, and a string's hash differs
+        # between interpreters: one pickled under another hash seed must
+        # still find the equal key built here.
+        path = tmp_path / "pair.pickle"
+        dump = (
+            "import pickle, sys\n"
+            "from scgadjust import MicroQuery, validate_scg\n"
+            "g = validate_scg(['X', 'Y', 'W'], [('W', 'X'), ('X', 'Y'), ('W', 'W')])\n"
+            "pickle.dump((g, MicroQuery('X', 'Y', 1, 1)), open(sys.argv[1], 'wb'))\n"
+        )
+        load = (
+            "import pickle, sys\n"
+            "from scgadjust import MicroQuery, validate_scg\n"
+            "g = validate_scg(['X', 'Y', 'W'], [('W', 'X'), ('X', 'Y'), ('W', 'W')])\n"
+            "key = {(g, MicroQuery('X', 'Y', 1, 1)): 'found'}\n"
+            "print(key.get(pickle.load(open(sys.argv[1], 'rb'))))\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        for seed, code in (("1", dump), ("2", load)):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            out = subprocess.run([sys.executable, "-c", code, str(path)], env=env, capture_output=True, text=True)
+            assert out.returncode == 0, out.stderr
+        assert out.stdout == "found\n"
 
 
 class TestKinship:

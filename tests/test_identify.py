@@ -43,10 +43,11 @@ from scgadjust import (
 import scgadjust.graph
 from scgadjust.graph import closure, cycle_profile, scc_of
 from scgadjust.identify import BackdoorTester, query_facts
+from scgadjust.oracle import CorpusConfig, candidate_subsets, random_scg
 from scgadjust.unroll import instantiate, padded_window, unroll
 
 from .conftest import bounded, query, small_scgs, tv, zset
-from .references import d_separated, d_separated_bruteforce, without_outgoing
+from .references import d_separated, d_separated_bruteforce, eager_scg_backdoor_check, without_outgoing
 
 
 def _verdict_with_subgraph(g, q, condition_c_form):
@@ -223,6 +224,70 @@ class TestCriterionChecker:
         assert report.satisfied
         assert report.item == "A.3"
         assert report.required_core == zset(("X", -1), ("R", -1), ("R", 0))
+
+
+class TestInternedReports:
+    """``scg_backdoor_check`` hands out one report per distinct outcome of a
+    query; its reports must equal ones built and rendered afresh per call."""
+
+    @given(
+        small_scgs(),
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=1, max_value=2),
+        st.data(),
+    )
+    @settings(max_examples=150)
+    def test_matches_eager_reference(self, g, gamma, gamma_max, data):
+        x, y = g.nodes[0], g.nodes[1]
+        if data.draw(st.booleans()):
+            # Most drawn graphs make neither node an ancestor of the other.
+            g = validate_scg(g.nodes, g.edges | {(x, y)})
+        queries = [MicroQuery(x, y, gamma, gamma_max), MicroQuery(y, x, gamma, gamma_max)]
+        window = instantiate(g.nodes, queries[0].window_floor, 0)
+        # Sets free of the first query's possible descendants reach its items;
+        # the cores of both queries and their unions with those sets are
+        # accepted by the different items.
+        free = sorted(window - query_facts(g, queries[0]).d)
+        sets = data.draw(st.lists(st.frozensets(st.sampled_from(free), max_size=5), max_size=8)) if free else []
+        cores = [core for q in queries for core in query_facts(g, q).cores.values()]
+        sets += cores + [core | z for core in cores for z in sets[:2]]
+        sets += data.draw(st.lists(st.frozensets(st.sampled_from(sorted(window)), max_size=5), max_size=4))
+        # Each treatment variable is its own possible descendant: these clash.
+        sets += [z | {q.treatment_var} for z in sets[:2] + [frozenset()] for q in queries]
+        # Each query's facts, kept across its sets, then rebuilt on every set
+        # as the two queries alternate.
+        calls = [(q, z) for q in queries for z in sets + sets]
+        calls += [(q, z) for z in sets for q in queries]
+        for q, z in calls:
+            got, want = scg_backdoor_check(g, q, z), eager_scg_backdoor_check(g, q, z)
+            assert got == want
+            assert got.to_obj(g) == want.to_obj(g)
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_matches_eager_reference_on_corpus(self, seed):
+        # Corpus graphs give every verdict kind, and queries with many
+        # distinct rejections and accepting items.
+        cfg = CorpusConfig(seed=seed)
+        for index in range(40):
+            g = random_scg(cfg, index)
+            for gamma in (0, 1):
+                q = MicroQuery("X", "Y", gamma, 1)
+                for z in candidate_subsets(g, q, 3):
+                    got, want = scg_backdoor_check(g, q, z), eager_scg_backdoor_check(g, q, z)
+                    assert got == want, (index, gamma, z)
+
+    def test_one_report_per_outcome(self, persistence_chain):
+        g, q = persistence_chain, query(gamma=1)
+        accepted = zset(("X", -2), ("W", -2), ("W", -1))
+        clash = zset(("Y", 0))
+        rejected = zset(("W", -1))
+        for z in (accepted, clash, rejected):
+            assert scg_backdoor_check(g, q, z) is scg_backdoor_check(g, q, set(z))
+        # Y@-2 is in no core: adding it keeps the accepting item and the gaps.
+        for z in (accepted, rejected):
+            assert scg_backdoor_check(g, q, z) is scg_backdoor_check(g, q, z | zset(("Y", -2)))
+        assert scg_backdoor_check(g, q, accepted).item == "A.1"
+        assert not scg_backdoor_check(g, q, rejected).satisfied
 
 
 class TestBaselineSets:
@@ -563,6 +628,7 @@ class TestMacroPathEnumeratesNoTemplates:
                 for attr in self.ENUMERATORS:
                     if hasattr(mod, attr):
                         monkeypatch.setattr(mod, attr, forbidden)
+        identify.cache_clear()
         query_facts.cache_clear()
         yield
         query_facts.cache_clear()

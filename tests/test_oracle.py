@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import math
 from collections import Counter
@@ -28,11 +29,18 @@ from scgadjust.oracle import (
     random_scg,
     soundness_experiment,
 )
-from scgadjust.unroll import count_compatible_templates, densest_templates, enumerate_compatible_templates
+from scgadjust.unroll import (
+    count_compatible_templates,
+    densest_templates,
+    enumerate_compatible_templates,
+    make_template,
+)
 
 from .conftest import query, small_scgs, zset
 
 GRAPHS_DIR = Path(__file__).resolve().parent.parent / "graphs"
+# The package exports the function ``unroll`` under the module's name.
+unroll_module = importlib.import_module("scgadjust.unroll")
 
 
 class TestRandomScg:
@@ -105,6 +113,58 @@ class TestCommonBackdoor:
         assert full == dense == common_backdoor_valid(g, q, z, cap=10_000)
 
 
+@st.composite
+def compatible_templates(draw, g, gamma_max: int):
+    """Any compatible template of ``g``: lag 0 is allowed on the edges that
+    point forward in a drawn node order, so the lag-0 edges form no cycle."""
+    rank = {v: i for i, v in enumerate(draw(st.permutations(g.nodes)))}
+    lags = {}
+    for (u, w) in g.edge_list:
+        allowed = range(0 if rank[u] < rank[w] else 1, gamma_max + 1)
+        lags[(u, w)] = draw(st.sets(st.sampled_from(allowed), min_size=1))
+    return make_template(g, gamma_max, lags)
+
+
+class TestAncestorCheck:
+    """The non-ancestor verdict's classical counterpart walks the slices
+    [-gamma, 0] of each template; it must agree with a padded tester's
+    descendant mask."""
+
+    @given(
+        small_scgs(max_nodes=4),
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=1, max_value=2),
+        st.data(),
+    )
+    @settings(max_examples=80)
+    def test_matches_padded_tester(self, g, gamma, gamma_max, data):
+        q = MicroQuery(g.nodes[0], g.nodes[1], gamma, gamma_max)
+        y = [q.outcome_var]
+        templates = [data.draw(compatible_templates(g, gamma_max)) for _ in range(3)]
+        if count_compatible_templates(g, gamma_max, 300) <= 300:
+            templates += enumerate_compatible_templates(g, gamma_max, 300)
+        for t in templates:
+            want = BackdoorTester(t, q).descendant_clash(y)
+            assert BackdoorTester(t, q, gamma_max + 1).descendant_clash(y) == want
+            assert oracle._reaches_outcome(t, q) == want
+
+    @given(
+        small_scgs(max_nodes=4),
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=1, max_value=2),
+    )
+    @settings(max_examples=40)
+    def test_undominated_templates_decide(self, g, gamma, gamma_max):
+        if count_compatible_templates(g, gamma_max, 300) > 300:
+            return
+        q = MicroQuery(g.nodes[0], g.nodes[1], gamma, gamma_max)
+        y = [q.outcome_var]
+        templates = enumerate_compatible_templates(g, gamma_max, 300)
+        every = any(BackdoorTester(t, q).descendant_clash(y) for t in templates)
+        check = oracle._ClassicalCheck(oracle._GraphTemplates(g, gamma_max, 10_000), q)
+        assert check.makes_ancestor() == every
+
+
 def no_descendant_guard(g, q, z) -> CriterionReport:
     """The criterion with its possible-descendant guard removed."""
     facts = query_facts(g, q)
@@ -164,6 +224,34 @@ class TestSoundness:
         assert len(identifiable) > 5
         assert len(builds) == len(identifiable)
         assert set(builds.values()) == {1}
+
+    def test_one_verdict_per_query_and_form(self):
+        # ``identify`` keeps its latest verdict: the default form, classified
+        # after the component form, is what the query's facts read again.
+        identify.cache_clear()
+        report = soundness_experiment(CorpusConfig(n_graphs=20, seed=7))
+        queries = [row for row in report.rows if not row.skipped]
+        assert len(queries) > 10
+        assert identify.cache_info().misses == 2 * len(queries)
+
+    def test_edges_split_once_per_graph(self, monkeypatch):
+        # Every split ``_split_edges`` hands out, with its graph; two distinct
+        # split objects of one graph are two computations.
+        splits = []
+        split_edges = unroll_module._split_edges
+
+        def recording(g):
+            split = split_edges(g)
+            splits.append((g, split))
+            return split
+
+        monkeypatch.setattr(unroll_module, "_split_edges", recording)
+        soundness_experiment(CorpusConfig(n_graphs=20, seed=7))
+        computed: dict[int, set[int]] = {}
+        for g, split in splits:
+            computed.setdefault(id(g), set()).add(id(split))
+        assert len(computed) == 20
+        assert all(len(ids) == 1 for ids in computed.values())
 
     def test_all_non_ancestor_corpus_checks_empty_sets_only(self):
         cfg = CorpusConfig(n_graphs=10, edge_probability=0.0, allow_cycles=False, seed=3)
