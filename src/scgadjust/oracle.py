@@ -4,7 +4,10 @@ The soundness experiment draws seeded random summary graphs, enumerates every
 candidate adjustment set the macro criterion accepts, and verifies each one
 against the classical back-door criterion in the compatible full-time DAGs.
 The completeness probe searches the other way, for sets valid in every
-compatible full-time DAG that the criterion rejects.
+compatible full-time DAG that the criterion rejects.  Both generate their
+candidate sets one at a time (``CandidateSets``) and keep only the ones they
+report, so memory does not grow with the subset bound; time still does, with
+the number of subsets, the sum over k of C(|pool|, k).
 
 Both read two objects.  ``_GraphTemplates`` owns the templates of one
 (graph, gamma_max): the cap test (a graph with more densest templates than
@@ -32,8 +35,9 @@ import json
 import random
 from dataclasses import astuple, dataclass, field, fields
 from functools import cached_property
-from itertools import combinations
-from typing import Callable, Iterable
+from itertools import chain, combinations, starmap
+from math import comb
+from typing import Callable, Iterable, Iterator
 
 from .graph import SCG, mask_closure, validate_scg
 from .identify import (
@@ -321,16 +325,43 @@ class SoundnessReport:
         return buf.getvalue()
 
 
+class CandidateSets:
+    """The subsets of a pool of temporal variables with at most
+    ``max_size`` members, by size and then in ``combinations`` order.
+
+    Sized by arithmetic and iterable any number of times; each pass builds
+    its sets one at a time, so only the sets a caller keeps stay in memory.
+    A set is the union of one-element sets built once, which reuses their
+    stored hashes.
+    """
+
+    def __init__(self, pool: Iterable[TemporalVar], max_size: int):
+        self._singles = tuple(frozenset((tv,)) for tv in pool)
+        self._max_size = max_size
+
+    def __len__(self) -> int:
+        n = len(self._singles)
+        return sum(comb(n, k) for k in range(self._max_size + 1))
+
+    def __iter__(self) -> Iterator[AdjustmentSet]:
+        union, singles = frozenset().union, self._singles
+        return chain.from_iterable(
+            starmap(union, combinations(singles, k)) for k in range(self._max_size + 1)
+        )
+
+
 def candidate_subsets(
     g: SCG, q: MicroQuery, max_subset_size: int, exclude: frozenset = frozenset()
-) -> list[AdjustmentSet]:
-    """All subsets (up to the size bound) of the in-window temporal variables,
-    ordered deterministically."""
+) -> CandidateSets:
+    """All subsets (up to the size bound) of the in-window temporal variables
+    outside ``exclude``, by size and then in ``combinations`` order over the
+    sorted window.
+
+    The sets are generated on each iteration, not held: a caller's memory
+    holds the sets it keeps, while its time grows with ``len``, the sum over
+    k of C(|pool|, k)."""
     pool = [tv for tv in sort_temporal(g, instantiate(g.nodes, q.window_floor, 0)) if tv not in exclude]
-    out: list[AdjustmentSet] = []
-    for k in range(0, max_subset_size + 1):
-        out.extend(map(frozenset, combinations(pool, k)))
-    return out
+    return CandidateSets(pool, max_subset_size)
 
 
 def soundness_experiment(cfg: CorpusConfig, checker: Callable = scg_backdoor_check) -> SoundnessReport:
@@ -341,7 +372,10 @@ def soundness_experiment(cfg: CorpusConfig, checker: Callable = scg_backdoor_che
     tested with the classical back-door check over the compatible templates.
     Candidate subsets are drawn from all in-window variables so that a
     damaged checker (one that, say, loses the possible-descendant guard) is
-    still caught by the classical side.  Blocking verdicts are recomputed at
+    still caught by the classical side.  They are generated one at a time
+    and each goes to ``checker`` once; only the accepted ones are kept, so
+    memory holds the accepted sets, while time grows with the number of
+    subsets under ``max_subset_size``.  Blocking verdicts are recomputed at
     a deeper past padding and disagreements are counted as instabilities.
     """
     rows: list[GraphRow] = []

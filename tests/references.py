@@ -4,16 +4,18 @@ Each one is the plain or exhaustive form of a fact that the library derives
 by a faster route: d-separation by path enumeration, possible descendants as
 a union over every compatible template, strongly connected components by
 Tarjan's algorithm, the criterion's reports built and rendered afresh on
-every call.  Several are exponential and meant for small graphs only.  None
-of them is used by the package itself.
+every call, the oracle's candidate sets as one list.  Several are
+exponential and meant for small graphs only.  None of them is used by the
+package itself.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Iterable
 
 from scgadjust.graph import SCG, NodeId, SccPartition, cycle_profile, d_connected
-from scgadjust.identify import EMPTY, CriterionReport, VerdictKind, _check_z_shape, query_facts
+from scgadjust.identify import EMPTY, AdjustmentSet, CriterionReport, VerdictKind, _check_z_shape, query_facts
 from scgadjust.unroll import (
     FTDagTemplate,
     MicroQuery,
@@ -258,3 +260,16 @@ def eager_scg_backdoor_check(g: SCG, q: MicroQuery, z: Iterable[TemporalVar]) ->
     else:
         violations.append(f"C: missing {labels(base - z)}")
     return CriterionReport(False, "C", None, EMPTY, tuple(violations))
+
+
+def eager_candidate_subsets(
+    g: SCG, q: MicroQuery, max_subset_size: int, exclude: frozenset = frozenset()
+) -> list[AdjustmentSet]:
+    """Every in-window subset outside ``exclude`` with at most
+    ``max_subset_size`` members, built as one list: by size, then in
+    ``combinations`` order."""
+    pool = [tv for tv in sort_temporal(g, instantiate(g.nodes, q.window_floor, 0)) if tv not in exclude]
+    out: list[AdjustmentSet] = []
+    for k in range(0, max_subset_size + 1):
+        out.extend(map(frozenset, combinations(pool, k)))
+    return out

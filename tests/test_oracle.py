@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import json
 import math
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -33,10 +34,13 @@ from scgadjust.unroll import (
     count_compatible_templates,
     densest_templates,
     enumerate_compatible_templates,
+    instantiate,
     make_template,
+    sort_temporal,
 )
 
 from .conftest import query, small_scgs, zset
+from .references import eager_candidate_subsets
 
 GRAPHS_DIR = Path(__file__).resolve().parent.parent / "graphs"
 # The package exports the function ``unroll`` under the module's name.
@@ -111,6 +115,33 @@ class TestCommonBackdoor:
         full = all(classical_backdoor_check(t, q, z) for t in enumerate_compatible_templates(g, 1, 200))
         dense = all(classical_backdoor_check(t, q, z) for t in densest_templates(g, 1))
         assert full == dense == common_backdoor_valid(g, q, z, cap=10_000)
+
+
+class TestCandidateSets:
+    """``candidate_subsets`` is sized by arithmetic and generates, on every
+    pass, the sets of the eager list in its order."""
+
+    @given(
+        small_scgs(),
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=1, max_value=2),
+        st.integers(min_value=-1, max_value=4),
+        st.booleans(),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_eager_list(self, g, gamma, gamma_max, bound, with_exclude, data):
+        q = MicroQuery(g.nodes[0], g.nodes[1], gamma, gamma_max)
+        exclude = frozenset()
+        if with_exclude:
+            window = sort_temporal(g, instantiate(g.nodes, q.window_floor, 0))
+            exclude = frozenset(data.draw(st.sets(st.sampled_from(window))))
+        want = eager_candidate_subsets(g, q, bound, exclude)
+        sets = candidate_subsets(g, q, bound, exclude)
+        assert len(sets) == len(want)
+        first = list(sets)
+        assert first == want
+        assert list(sets) == first
 
 
 @st.composite
@@ -252,6 +283,21 @@ class TestSoundness:
             computed.setdefault(id(g), set()).add(id(split))
         assert len(computed) == 20
         assert all(len(ids) == 1 for ids in computed.values())
+
+    def test_memory_flat_in_subset_bound(self):
+        # Subsets up to 6 of windows of up to 24 variables: holding them all
+        # peaked near 40 MB, while the accepted sets alone take a few MB.
+        cfg = CorpusConfig(n_graphs=12, seed=7, gamma_max=2, max_subset_size=6)
+        tracemalloc.start()
+        try:
+            report = soundness_experiment(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000_000
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
+            "3212974fcfce4813874838791d6aaa83f0ba5e0797da7836c3987c5605da42ab"
+        )
 
     def test_all_non_ancestor_corpus_checks_empty_sets_only(self):
         cfg = CorpusConfig(n_graphs=10, edge_probability=0.0, allow_cycles=False, seed=3)
@@ -400,6 +446,17 @@ class TestCompletenessProbe:
         found = probe_graph(latent_fork_collider, q, max_subset_size=4, cap=50)
         assert len(found) >= 1
         assert zset(("U", -1), ("U", 0), ("X", -1), ("R", -1)) in found
+
+    def test_latent_fork_collider_equals_eager_reference(self, latent_fork_collider):
+        g, q = latent_fork_collider, query(gamma=0)
+        classical = oracle._ClassicalCheck(oracle._GraphTemplates(g, q.gamma_max, oracle.TEMPLATE_CAP), q)
+        want = [
+            z
+            for z in eager_candidate_subsets(g, q, 4, exclude=query_facts(g, q).d)
+            if not scg_backdoor_check(g, q, z).satisfied and classical.valid(z)
+        ]
+        assert want
+        assert probe_graph(g, q, max_subset_size=4) == want
 
     def test_edgeless_graph_empty(self):
         g = validate_scg(["X", "Y"], [])
