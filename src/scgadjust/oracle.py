@@ -7,7 +7,10 @@ The completeness probe searches the other way, for sets valid in every
 compatible full-time DAG that the criterion rejects.  Both generate their
 candidate sets one at a time (``CandidateSets``) and keep only the ones they
 report, so memory does not grow with the subset bound; time still does, with
-the number of subsets, the sum over k of C(|pool|, k).
+the number of subsets, the sum over k of C(|pool|, k).  Their pool is the
+window less the treatment's possible descendants D, except for a
+caller-supplied checker in the soundness experiment, which sees the whole
+window: the library's criterion rejects every set that meets D.
 
 Both read two objects.  ``_GraphTemplates`` owns the templates of one
 (graph, gamma_max): the cap test (a graph with more densest templates than
@@ -370,13 +373,19 @@ def soundness_experiment(cfg: CorpusConfig, checker: Callable = scg_backdoor_che
     For every identifiable (graph, query) under the densest-template cap,
     every criterion-passing candidate subset and every canonical set is
     tested with the classical back-door check over the compatible templates.
-    Candidate subsets are drawn from all in-window variables so that a
-    damaged checker (one that, say, loses the possible-descendant guard) is
-    still caught by the classical side.  They are generated one at a time
-    and each goes to ``checker`` once; only the accepted ones are kept, so
-    memory holds the accepted sets, while time grows with the number of
-    subsets under ``max_subset_size``.  Blocking verdicts are recomputed at
-    a deeper past padding and disagreements are counted as instabilities.
+    With the library's ``scg_backdoor_check`` (the object this module's
+    name holds at call time, so a wrapper bound to that name counts), the
+    candidate subsets avoid the treatment's possible descendants D: the
+    criterion rejects every set that meets D, and a rejected set leaves no
+    trace in the report.  Any other checker gets every in-window subset, so
+    that a damaged one (one that, say, loses the possible-descendant guard)
+    is still caught by the classical side.  The subsets are generated one
+    at a time and each goes to ``checker`` once; only the accepted ones are
+    kept, so memory holds the accepted sets, while time grows with the
+    number of subsets under ``max_subset_size``: the sum over k of
+    C(|window - D|, k) with the library's criterion, of C(|window|, k) with
+    another checker.  Blocking verdicts are recomputed at a deeper past
+    padding and disagreements are counted as instabilities.
     """
     rows: list[GraphRow] = []
     counterexamples: list[dict] = []
@@ -422,8 +431,12 @@ def soundness_experiment(cfg: CorpusConfig, checker: Callable = scg_backdoor_che
                         }
                     )
             elif verdict.kind is not VerdictKind.NOT_IDENTIFIABLE:
+                # The library's criterion rejects every set that meets the
+                # possible descendants, and a rejected set leaves no trace, so
+                # it is handed only the others; any other checker sees all.
+                exclude = query_facts(g, q).d if checker is scg_backdoor_check else frozenset()
                 to_check: dict[AdjustmentSet, str] = {}
-                for z in candidate_subsets(g, q, cfg.max_subset_size):
+                for z in candidate_subsets(g, q, cfg.max_subset_size, exclude):
                     if checker(g, q, z).satisfied:
                         to_check.setdefault(z, "criterion")
                 for name, z in canonical_sets(g, q).items():

@@ -314,6 +314,83 @@ class TestSoundness:
         assert injected_bug_report.sets_sound < injected_bug_report.sets_checked
 
 
+def _wrapped_checker(g, q, z) -> CriterionReport:
+    """The library's criterion behind another function object: the
+    experiment hands it every in-window subset."""
+    return scg_backdoor_check(g, q, z)
+
+
+class TestDescendantFreeCandidates:
+    """With the library's criterion the experiment skips the candidate sets
+    that meet the treatment's possible descendants: the criterion rejects
+    each of them, so the report is the one every subset gives."""
+
+    @given(
+        small_scgs(),
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=1, max_value=2),
+        st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_criterion_rejects_every_set_meeting_descendants(self, g, gamma, gamma_max, data):
+        q = MicroQuery(g.nodes[0], g.nodes[1], gamma, gamma_max)
+        facts = query_facts(g, q)
+        if facts.verdict.kind not in (VerdictKind.COND_A, VerdictKind.COND_B, VerdictKind.COND_C):
+            return
+        # The treatment variable is its own possible descendant.
+        assert q.treatment_var in facts.d
+        window = sort_temporal(g, instantiate(g.nodes, q.window_floor, 0))
+        clash = data.draw(st.sets(st.sampled_from(sort_temporal(g, facts.d)), min_size=1))
+        z = frozenset(clash | data.draw(st.sets(st.sampled_from(window))))
+        report = scg_backdoor_check(g, q, z)
+        assert not report.satisfied
+        assert report.violations[0].startswith("possible descendant of treatment in set: ")
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            CorpusConfig(n_graphs=40, seed=7),
+            CorpusConfig(n_graphs=40, seed=11),
+            CorpusConfig(n_graphs=20, seed=11, gamma_max=2),
+        ],
+        ids=["seed7", "seed11", "seed11-gamma-max2"],
+    )
+    def test_same_report_as_every_subset(self, cfg):
+        fast = soundness_experiment(cfg)
+        full = soundness_experiment(cfg, checker=_wrapped_checker)
+        assert fast.to_json() == full.to_json()
+
+    def test_criterion_sees_only_descendant_free_sets(self, monkeypatch):
+        # The library's criterion is asked once per descendant-free subset of
+        # each identifiable query; another checker once per subset.
+        cfg = CorpusConfig(n_graphs=20, seed=7)
+        calls = []
+        report_of = _QueryFacts.report
+
+        def recording(self, z):
+            calls.append(bool(z & self.d))
+            return report_of(self, z)
+
+        monkeypatch.setattr(_QueryFacts, "report", recording)
+        report = soundness_experiment(cfg)
+        fast = list(calls)
+        calls.clear()
+        soundness_experiment(cfg, checker=_wrapped_checker)
+        full = list(calls)
+
+        want_fast = want_full = 0
+        for row in report.rows:
+            if row.verdict in ("CondA", "CondB", "CondC"):
+                g = random_scg(cfg, row.index)
+                q = MicroQuery("X", "Y", row.gamma, cfg.gamma_max)
+                want_fast += len(candidate_subsets(g, q, cfg.max_subset_size, exclude=query_facts(g, q).d))
+                want_full += len(candidate_subsets(g, q, cfg.max_subset_size))
+        assert not any(fast)
+        assert len(fast) == want_fast > 0
+        assert len(full) == want_full > want_fast
+        assert any(full)
+
+
 class TestPinnedValidateBytes:
     """SHA-256 of ``soundness_experiment(...).to_json()`` on fixed corpora.
 
