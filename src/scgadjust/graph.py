@@ -205,7 +205,14 @@ def d_connected(parents: Sequence[int], children: Sequence[int], a: int, b: int,
     children of a node outside ``z`` and bounces back to the parents of a
     node in ``z``, so a collider opens exactly when a descendant of it is in
     ``z``.  Each node is visited at most once per direction, and reaching
-    ``b`` ends the walk.
+    ``b`` ends the walk.  Frontier nodes are taken highest bit first: in an
+    unrolling the low bits are the deepest past slices, which a walk from
+    the present rarely needs before it reaches ``b``.
+
+    Every move of the walk stays a move when nodes or edges are added, so
+    the set of nodes it reaches only grows with the graph.  On a graph with
+    directed cycles (a union of unrollings, say) that monotonicity is all
+    the walk is relied on for.
     """
     if a & b:
         return True
@@ -214,20 +221,20 @@ def d_connected(parents: Sequence[int], children: Sequence[int], a: int, b: int,
     seen_up = seen_down = 0
     while up or down:
         if up:
-            low = up & -up
-            up ^= low
-            seen_up |= low
-            if low & z:
+            i = up.bit_length() - 1
+            top = 1 << i
+            up ^= top
+            seen_up |= top
+            if top & z:
                 continue
-            i = low.bit_length() - 1
             new_up = parents[i] & ~seen_up
             new_down = children[i] & ~seen_down
         else:
-            low = down & -down
-            down ^= low
-            seen_down |= low
-            i = low.bit_length() - 1
-            if low & z:
+            i = down.bit_length() - 1
+            top = 1 << i
+            down ^= top
+            seen_down |= top
+            if top & z:
                 new_up, new_down = parents[i] & ~seen_up, 0
             else:
                 new_up, new_down = 0, children[i] & ~seen_down

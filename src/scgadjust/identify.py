@@ -586,24 +586,23 @@ class _WindowBits:
 
 @lru_cache(maxsize=2)
 def _window_bits(g: SCG, window: tuple[int, int]) -> _WindowBits:
-    # Two entries: the oracle checks each set at two paddings in turn.
+    # Two entries: the oracle checks each set at two paddings in turn, the
+    # union certificate at the deeper one.
     return _WindowBits(g, window)
 
 
-class BackdoorTester:
-    """Reusable classical back-door check against one template.
-
-    Builds int masks of the padded unrolling straight from the template's lag
-    entries, without an ``UnrolledGraph``; the bits are those of the
-    window's ``_WindowBits``.  The treatment's outgoing edges are pruned from
-    the parent and child masks; its descendant mask keeps them.  ``check``
-    then costs one descendant-mask test plus one run of the shared Bayes-ball
+class _PrunedUnrolling:
+    """Int masks of one unrolling over a padded window, built straight from
+    lag entries ``((u, w), lags)`` without an ``UnrolledGraph``; the bits are
+    those of the window's ``_WindowBits``, and edges leaving the window are
+    dropped.  The treatment's outgoing edges are pruned from the parent and
+    child masks; its descendant mask keeps them.  ``check`` then costs one
+    descendant-mask test plus one run of the shared Bayes-ball
     ``graph.d_connected``.
     """
 
-    def __init__(self, tmpl: FTDagTemplate, q: MicroQuery, extra_padding: int = 0):
+    def __init__(self, g: SCG, q: MicroQuery, extra_padding: int, lag_entries: Iterable):
         self.q = q
-        g = tmpl.scg
         self.window = lo, hi = padded_window(g, q, extra_padding)
         self._bits = _window_bits(g, self.window)
         index = g._index
@@ -615,7 +614,7 @@ class BackdoorTester:
         self._parents = parents = [0] * (n * slices)
         self._children = children = [0] * (n * slices)
         x_children = 0
-        for (u, w), ls in tmpl.lag_entries:
+        for (u, w), ls in lag_entries:
             iu, iw = index[u], index[w]
             for lag in ls:
                 for k in range(slices - lag):
@@ -636,6 +635,37 @@ class BackdoorTester:
         if zm & self._de_x:
             return False
         return not d_connected(self._parents, self._children, self._x, self._y, zm)
+
+
+class BackdoorTester(_PrunedUnrolling):
+    """Reusable classical back-door check against one template, over the
+    query's padded window widened by ``extra_padding`` past slices."""
+
+    def __init__(self, tmpl: FTDagTemplate, q: MicroQuery, extra_padding: int = 0):
+        super().__init__(tmpl.scg, q, extra_padding, tmpl.lag_entries)
+
+
+class UnionTester(_PrunedUnrolling):
+    """A certificate that a set passes the classical back-door check in every
+    compatible template, at every extra padding up to ``gamma_max + 1``.
+
+    It unrolls one union template over the window at that padding: every
+    non-self edge carries every lag 0..gamma_max and every self-loop every
+    lag 1..gamma_max, as in ``unroll.possible_descendants``.  The unrolling
+    may hold directed cycles.  ``certify`` is the back-door check there.  It
+    is sound because every compatible template's unrolling is a subgraph of
+    the union's, and a shallower padding's unrolling a subgraph of a deeper
+    one: descendants only grow with the graph, and so does the set the
+    Bayes-ball reaches.  A set the union refuses may still be valid; only
+    the templates can tell.
+    """
+
+    def __init__(self, g: SCG, q: MicroQuery):
+        lags = range(q.gamma_max + 1)
+        entries = [((u, w), lags[1:] if u == w else lags) for (u, w) in g.edge_list]
+        super().__init__(g, q, q.gamma_max + 1, entries)
+
+    certify = _PrunedUnrolling.check
 
 
 def classical_backdoor_check(

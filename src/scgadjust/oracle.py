@@ -21,7 +21,13 @@ and the ordered list a failing set is reported against: every compatible
 template when there are at most ``cap`` of them, the densest ones otherwise.
 ``_ClassicalCheck`` holds the per-query testers over them.
 
-Validity is decided in the undominated densest templates.  Every compatible
+The soundness experiment first asks the union certificate
+(``identify.UnionTester``): one back-door check in the unrolling of the
+union of every compatible template, at the deeper padding.  Every
+template's unrolling at either padding is a subgraph of it, so a set it
+certifies is valid everywhere.  Only a set it refuses reaches the
+templates.  There, and in ``valid`` (``probe``, ``common_backdoor_valid``),
+validity is decided in the undominated densest templates.  Every compatible
 template lies lag-set-wise within one of them, and a set valid in a template
 stays valid in every template it contains (the descendants shrink, and every
 open path stays open in the supergraph), so a set that passes them passes
@@ -46,6 +52,7 @@ from .graph import SCG, mask_closure, validate_scg
 from .identify import (
     AdjustmentSet,
     BackdoorTester,
+    UnionTester,
     VerdictKind,
     adjustment_set_to_obj,
     canonical_sets,
@@ -223,6 +230,10 @@ class _ClassicalCheck:
         return [BackdoorTester(t, self.q, extra_padding) for t in templates]
 
     @cached_property
+    def union(self) -> UnionTester:
+        return UnionTester(self.templates.g, self.q)
+
+    @cached_property
     def plain(self) -> list[BackdoorTester]:
         return self._testers(self.templates.undominated)
 
@@ -248,8 +259,10 @@ class _ClassicalCheck:
     def witness(self, z: AdjustmentSet) -> tuple[FTDagTemplate | None, int]:
         """The first template in order where ``z`` fails at the deeper of
         the two paddings (None if there is none), and the number of
-        templates checked on the way whose paddings disagree."""
-        if self.valid(z) and all(t.check(z) for t in self.padded):
+        templates checked on the way whose paddings disagree.  A set the
+        union certifies passes every template at both paddings, so only the
+        sets it refuses build and walk the templates."""
+        if self.union.certify(z) or self.valid(z) and all(t.check(z) for t in self.padded):
             return None, 0
         unstable = 0
         for tmpl, plain, padded in self.in_order:

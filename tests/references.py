@@ -1,10 +1,10 @@
 """Reference implementations that the tests compare the library against.
 
 Each one is the plain or exhaustive form of a fact that the library derives
-by a faster route: d-separation by path enumeration, possible descendants as
-a union over every compatible template, strongly connected components by
-Tarjan's algorithm, the criterion's reports built and rendered afresh on
-every call, the oracle's candidate sets as one list.  Several are
+by a faster route: d-separation by path enumeration or by a walk over sets,
+possible descendants as a union over every compatible template, strongly
+connected components by Tarjan's algorithm, the criterion's reports built
+and rendered afresh on every call, the oracle's candidate sets as one list.  Several are
 exponential and meant for small graphs only.  None of them is used by the
 package itself.
 """
@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable
 
-from scgadjust.graph import SCG, NodeId, SccPartition, cycle_profile, d_connected
+from scgadjust.graph import SCG, NodeId, SccPartition, closure, cycle_profile, d_connected
 from scgadjust.identify import EMPTY, AdjustmentSet, CriterionReport, VerdictKind, _check_z_shape, query_facts
 from scgadjust.unroll import (
     FTDagTemplate,
@@ -112,6 +112,34 @@ def d_separated_bruteforce(
                 if w not in path:
                     stack.append((w, path + [w], dirs + [False]))
     return True
+
+
+def set_based_d_connected(parents, children, a, b, z) -> bool:
+    """Set-based Bayes-ball on ``adj[v]`` lookups that bounces up off every
+    collider in the ancestor closure of ``z``: the reference for the int-mask
+    ``graph.d_connected``, which bounces at the members of ``z`` only."""
+    opens = closure(parents, z)
+    seen_up: set = set()
+    seen_down: set = set()
+    stack = [(x, True) for x in a]
+    while stack:
+        v, up = stack.pop()
+        seen = seen_up if up else seen_down
+        if v in seen:
+            continue
+        seen.add(v)
+        if v in b:
+            return True
+        if up:
+            if v not in z:
+                stack.extend((p, True) for p in parents[v])
+                stack.extend((c, False) for c in children[v])
+        else:
+            if v not in z:
+                stack.extend((c, False) for c in children[v])
+            if v in opens:
+                stack.extend((p, True) for p in parents[v])
+    return False
 
 
 def possible_descendants_bruteforce(

@@ -20,7 +20,7 @@ from scgadjust import (
 from scgadjust.graph import closure, d_connected, simple_directed_paths, topological_order
 
 from .conftest import small_scgs
-from .references import tarjan
+from .references import set_based_d_connected, tarjan
 
 
 class TestValidate:
@@ -251,6 +251,26 @@ class TestKernel:
         assert not d_connected(parents, children, 0b0001, 0b0010, 0)
         assert d_connected(parents, children, 0b0001, 0b0010, 0b0100)
         assert d_connected(parents, children, 0b0001, 0b0010, 0b1000)
+
+    @given(st.integers(min_value=1, max_value=8), st.booleans(), st.data())
+    def test_d_connected_matches_set_walk(self, n, acyclic, data):
+        # Random masks, cyclic ones (self-loops included) or acyclic ones
+        # (edges from a lower to a higher bit), against the walk over sets,
+        # for one drawn ``z`` and every pair of end nodes.
+        nodes = range(n)
+        pairs = [(u, w) for u in nodes for w in nodes if not acyclic or u < w]
+        edges = data.draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+        z = data.draw(st.sets(st.sampled_from(nodes)))
+        parents = [[u for u, w in edges if w == v] for v in nodes]
+        children = [[w for u, w in edges if u == v] for v in nodes]
+        pm = [sum(1 << u for u in ps) for ps in parents]
+        cm = [sum(1 << w for w in cs) for cs in children]
+        zm = sum(1 << v for v in z)
+        for a in nodes:
+            for b in nodes:
+                assert d_connected(pm, cm, 1 << a, 1 << b, zm) == set_based_d_connected(
+                    parents, children, [a], {b}, z
+                )
 
 
 class TestSimplePaths:

@@ -41,13 +41,19 @@ from scgadjust import (
     validate_scg,
 )
 import scgadjust.graph
-from scgadjust.graph import closure, cycle_profile, scc_of
+from scgadjust.graph import cycle_profile, scc_of
 from scgadjust.identify import BackdoorTester, query_facts
 from scgadjust.oracle import CorpusConfig, candidate_subsets, random_scg
 from scgadjust.unroll import instantiate, padded_window, unroll
 
 from .conftest import bounded, query, small_scgs, tv, zset
-from .references import d_separated, d_separated_bruteforce, eager_scg_backdoor_check, without_outgoing
+from .references import (
+    d_separated,
+    d_separated_bruteforce,
+    eager_scg_backdoor_check,
+    set_based_d_connected,
+    without_outgoing,
+)
 
 
 def _verdict_with_subgraph(g, q, condition_c_form):
@@ -404,34 +410,6 @@ class TestClassicalBackdoor:
 
     def test_descendant_fails(self, persistence_template):
         assert not classical_backdoor_check(persistence_template, query(gamma=1), zset(("Y", 0)))
-
-
-def set_based_d_connected(parents, children, a, b, z) -> bool:
-    """Set-based Bayes-ball on ``adj[v]`` lookups that bounces up off every
-    collider in the ancestor closure of ``z``: the reference for the int-mask
-    ``graph.d_connected``, which bounces at the members of ``z`` only."""
-    opens = closure(parents, z)
-    seen_up: set = set()
-    seen_down: set = set()
-    stack = [(x, True) for x in a]
-    while stack:
-        v, up = stack.pop()
-        seen = seen_up if up else seen_down
-        if v in seen:
-            continue
-        seen.add(v)
-        if v in b:
-            return True
-        if up:
-            if v not in z:
-                stack.extend((p, True) for p in parents[v])
-                stack.extend((c, False) for c in children[v])
-        else:
-            if v not in z:
-                stack.extend((c, False) for c in children[v])
-            if v in opens:
-                stack.extend((p, True) for p in parents[v])
-    return False
 
 
 @st.composite

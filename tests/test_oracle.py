@@ -15,8 +15,10 @@ from scgadjust import oracle
 from scgadjust.identify import (
     BackdoorTester,
     CriterionReport,
+    UnionTester,
     _QueryFacts,
     adjustment_set_to_obj,
+    canonical_sets,
     classical_backdoor_check,
     query_facts,
     scg_backdoor_check,
@@ -391,6 +393,50 @@ class TestDescendantFreeCandidates:
         assert any(full)
 
 
+class TestUnionCertificate:
+    """``UnionTester.certify`` decides most sets before any template is built:
+    a set it certifies passes the classical check in every compatible
+    template at both paddings, so only the sets it refuses reach them."""
+
+    @given(
+        small_scgs(),
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=1, max_value=2),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_certified_set_passes_every_template(self, g, gamma, gamma_max, data):
+        q = MicroQuery(g.nodes[0], g.nodes[1], gamma, gamma_max)
+        if count_compatible_templates(g, gamma_max, 200) > 200:
+            return
+        window = sort_temporal(g, instantiate(g.nodes, q.window_floor, 0))
+        sets = [st.frozensets(st.sampled_from(window), max_size=4)]
+        if query_facts(g, q).verdict.kind is not VerdictKind.NOT_IDENTIFIABLE:
+            # The canonical baselines reach one slice below the window.
+            sets.append(st.sampled_from(list(canonical_sets(g, q).values())))
+        z = data.draw(st.one_of(sets))
+        if not UnionTester(g, q).certify(z):
+            return
+        for t in enumerate_compatible_templates(g, gamma_max, 200):
+            for pad in (0, gamma_max + 1):
+                assert classical_backdoor_check(t, q, z, pad)
+
+    def test_templates_checked_for_refused_sets_only(self, monkeypatch, small_report):
+        # Two undominated templates at two paddings per set made 8,290 checks
+        # on this corpus; the certificate leaves about 150.
+        calls = Counter()
+        check = BackdoorTester.check
+
+        def counted(self, z):
+            calls["check"] += 1
+            return check(self, z)
+
+        monkeypatch.setattr(BackdoorTester, "check", counted)
+        report = soundness_experiment(CorpusConfig(n_graphs=40, seed=7))
+        assert 0 < calls["check"] <= 300
+        assert report.to_json() == small_report.to_json()
+
+
 class TestPinnedValidateBytes:
     """SHA-256 of ``soundness_experiment(...).to_json()`` on fixed corpora.
 
@@ -419,6 +465,8 @@ class TestPinnedValidateBytes:
         # padding rejects every set holding a window-floor variable stands in
         # for one: each such set must fail the first stage and be counted by
         # the ordered loop (an instability when the shallow check passes).
+        # The union certificate checks at the deeper padding, so it carries
+        # the same fault; otherwise such a set would never reach the testers.
         class FloorBlindPadding(BackdoorTester):
             def __init__(self, tmpl, q, extra_padding=0):
                 super().__init__(tmpl, q, extra_padding)
@@ -429,7 +477,12 @@ class TestPinnedValidateBytes:
                     return False
                 return super().check(z)
 
+        class FloorBlindUnion(UnionTester):
+            def certify(self, z):
+                return not any(tv.offset == self.q.window_floor for tv in z) and super().certify(z)
+
         monkeypatch.setattr(oracle, "BackdoorTester", FloorBlindPadding)
+        monkeypatch.setattr(oracle, "UnionTester", FloorBlindUnion)
         report = soundness_experiment(CorpusConfig(n_graphs=12, seed=7))
         assert report.padding_instabilities == len(report.counterexamples) == 372
         assert self.digest(report) == (
