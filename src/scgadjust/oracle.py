@@ -7,10 +7,14 @@ The completeness probe searches the other way, for sets valid in every
 compatible full-time DAG that the criterion rejects.  Both generate their
 candidate sets one at a time (``CandidateSets``) and keep only the ones they
 report, so memory does not grow with the subset bound; time still does, with
-the number of subsets, the sum over k of C(|pool|, k).  Their pool is the
-window less the treatment's possible descendants D, except for a
-caller-supplied checker in the soundness experiment, which sees the whole
-window: the library's criterion rejects every set that meets D.
+the number of sets generated.  Their pool is the window less the treatment's
+possible descendants D, except for a caller-supplied checker in the
+soundness experiment, which sees the whole window: the library's criterion
+rejects every set that meets D.  The soundness experiment hands the
+library's criterion only the supersets of the query's cores in that pool,
+the only sets it can accept, so its time follows their number rather than
+the sum over k of C(|window - D|, k); the probe, which looks for the sets
+the criterion rejects, still walks every subset of the pool.
 
 Both read two objects.  ``_GraphTemplates`` owns the templates of one
 (graph, gamma_max): the cap test (a graph with more densest templates than
@@ -50,6 +54,7 @@ from typing import Callable, Iterable, Iterator
 
 from .graph import SCG, mask_closure, validate_scg
 from .identify import (
+    EMPTY,
     AdjustmentSet,
     BackdoorTester,
     UnionTester,
@@ -343,41 +348,74 @@ class SoundnessReport:
 
 class CandidateSets:
     """The subsets of a pool of temporal variables with at most
-    ``max_size`` members, by size and then in ``combinations`` order.
+    ``max_size`` members that contain at least one of ``cores``.
+
+    The sets of each core come in turn, in the given order of the cores:
+    the core plus each subset of the rest of the pool, by size and then in
+    ``combinations`` order, skipping a set that holds an earlier core, so
+    each set comes once.  The default, the one empty core, gives every
+    subset, by size and then in ``combinations`` order.  A core outside the
+    pool or over the bound has no set; a duplicate core, or one that holds
+    another core, adds none.
 
     Sized by arithmetic and iterable any number of times; each pass builds
-    its sets one at a time, so only the sets a caller keeps stay in memory.
-    A set is the union of one-element sets built once, which reuses their
-    stored hashes.
+    its sets one at a time and holds no set it has yielded, so only the sets
+    a caller keeps stay in memory.  A set is a core's union with one-element
+    sets built once, which reuses their stored hashes.
     """
 
-    def __init__(self, pool: Iterable[TemporalVar], max_size: int):
+    def __init__(
+        self, pool: Iterable[TemporalVar], max_size: int, cores: Iterable[AdjustmentSet] = (EMPTY,)
+    ):
         self._singles = tuple(frozenset((tv,)) for tv in pool)
         self._max_size = max_size
+        whole = frozenset().union(*self._singles)
+        fits = tuple(dict.fromkeys(c for c in cores if len(c) <= max_size and c <= whole))
+        self._cores = tuple(c for c in fits if not any(o < c for o in fits))
 
     def __len__(self) -> int:
-        n = len(self._singles)
-        return sum(comb(n, k) for k in range(self._max_size + 1))
+        # Inclusion-exclusion over the cores: the sets holding every core of
+        # a group T are the sets holding their union U, which number
+        # N(U) = sum over j <= max_size - |U| of C(|pool| - |U|, j).
+        n, total = len(self._singles), 0
+        for r in range(1, len(self._cores) + 1):
+            for group in combinations(self._cores, r):
+                u = len(frozenset().union(*group))
+                total += (-1) ** (r + 1) * sum(comb(n - u, j) for j in range(self._max_size - u + 1))
+        return total
 
     def __iter__(self) -> Iterator[AdjustmentSet]:
-        union, singles = frozenset().union, self._singles
-        return chain.from_iterable(
-            starmap(union, combinations(singles, k)) for k in range(self._max_size + 1)
+        return chain.from_iterable(self._of_core(i) for i in range(len(self._cores)))
+
+    def _of_core(self, i: int) -> Iterator[AdjustmentSet]:
+        core, earlier = self._cores[i], self._cores[:i]
+        rest = [s for s in self._singles if not s <= core]
+        sets = chain.from_iterable(
+            starmap(core.union, combinations(rest, k)) for k in range(self._max_size - len(core) + 1)
         )
+        if not earlier:
+            return sets
+        return (z for z in sets if not any(c <= z for c in earlier))
 
 
 def candidate_subsets(
-    g: SCG, q: MicroQuery, max_subset_size: int, exclude: frozenset = frozenset()
+    g: SCG,
+    q: MicroQuery,
+    max_subset_size: int,
+    exclude: frozenset = frozenset(),
+    cores: Iterable[AdjustmentSet] = (EMPTY,),
 ) -> CandidateSets:
-    """All subsets (up to the size bound) of the in-window temporal variables
-    outside ``exclude``, by size and then in ``combinations`` order over the
-    sorted window.
+    """The subsets (up to the size bound) of the in-window temporal variables
+    outside ``exclude`` that contain one of ``cores``, over the sorted
+    window in ``CandidateSets`` order; by default every such subset, by size
+    and then in ``combinations`` order.
 
     The sets are generated on each iteration, not held: a caller's memory
-    holds the sets it keeps, while its time grows with ``len``, the sum over
-    k of C(|pool|, k)."""
+    holds the sets it keeps, while its time grows with ``len``, the number
+    of supersets of the cores in the pool (with the default, the sum over k
+    of C(|pool|, k))."""
     pool = [tv for tv in sort_temporal(g, instantiate(g.nodes, q.window_floor, 0)) if tv not in exclude]
-    return CandidateSets(pool, max_subset_size)
+    return CandidateSets(pool, max_subset_size, cores)
 
 
 def soundness_experiment(cfg: CorpusConfig, checker: Callable = scg_backdoor_check) -> SoundnessReport:
@@ -388,17 +426,23 @@ def soundness_experiment(cfg: CorpusConfig, checker: Callable = scg_backdoor_che
     tested with the classical back-door check over the compatible templates.
     With the library's ``scg_backdoor_check`` (the object this module's
     name holds at call time, so a wrapper bound to that name counts), the
-    candidate subsets avoid the treatment's possible descendants D: the
-    criterion rejects every set that meets D, and a rejected set leaves no
-    trace in the report.  Any other checker gets every in-window subset, so
-    that a damaged one (one that, say, loses the possible-descendant guard)
-    is still caught by the classical side.  The subsets are generated one
-    at a time and each goes to ``checker`` once; only the accepted ones are
-    kept, so memory holds the accepted sets, while time grows with the
-    number of subsets under ``max_subset_size``: the sum over k of
-    C(|window - D|, k) with the library's criterion, of C(|window|, k) with
-    another checker.  Blocking verdicts are recomputed at a deeper past
-    padding and disagreements are counted as instabilities.
+    candidate subsets avoid the treatment's possible descendants D and each
+    contains one of the query's cores (``query_facts(g, q).cores``): the
+    criterion rejects every set that meets D, it accepts through a core item
+    only a superset of that item's core, and through a partition item (A.3,
+    B.2) only a superset of the mandated part when the free part opens no
+    collider (the item's core), because opening colliders only adds to the
+    mandated part.  A rejected set leaves no trace in the report, and the
+    criterion still judges every set it is handed.  Any other checker gets
+    every in-window subset, so that a damaged one (one that, say, loses the
+    possible-descendant guard) is still caught by the classical side.  The
+    subsets are generated one at a time and each goes to ``checker`` once;
+    only the accepted ones are kept, so memory holds the accepted sets,
+    while time grows with the number of subsets handed over: the supersets
+    of the cores in window - D up to ``max_subset_size`` with the library's
+    criterion, the sum over k of C(|window|, k) with another checker.
+    Blocking verdicts are recomputed at a deeper past padding and
+    disagreements are counted as instabilities.
     """
     rows: list[GraphRow] = []
     counterexamples: list[dict] = []
@@ -444,12 +488,16 @@ def soundness_experiment(cfg: CorpusConfig, checker: Callable = scg_backdoor_che
                         }
                     )
             elif verdict.kind is not VerdictKind.NOT_IDENTIFIABLE:
-                # The library's criterion rejects every set that meets the
-                # possible descendants, and a rejected set leaves no trace, so
-                # it is handed only the others; any other checker sees all.
-                exclude = query_facts(g, q).d if checker is scg_backdoor_check else frozenset()
+                # The library's criterion accepts only supersets of a core
+                # that avoid the possible descendants, and a rejected set
+                # leaves no trace, so it is handed only those; any other
+                # checker sees all.
+                exclude, cores = frozenset(), (EMPTY,)
+                if checker is scg_backdoor_check:
+                    facts = query_facts(g, q)
+                    exclude, cores = facts.d, facts.cores.values()
                 to_check: dict[AdjustmentSet, str] = {}
-                for z in candidate_subsets(g, q, cfg.max_subset_size, exclude):
+                for z in candidate_subsets(g, q, cfg.max_subset_size, exclude, cores):
                     if checker(g, q, z).satisfied:
                         to_check.setdefault(z, "criterion")
                 for name, z in canonical_sets(g, q).items():

@@ -4,6 +4,7 @@ import json
 import math
 import tracemalloc
 from collections import Counter
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -144,6 +145,31 @@ class TestCandidateSets:
         first = list(sets)
         assert first == want
         assert list(sets) == first
+
+    @given(
+        small_scgs(),
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=1, max_value=2),
+        st.integers(min_value=-1, max_value=4),
+        st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_supersets_of_cores_match_filtered_eager_list(self, g, gamma, gamma_max, bound, data):
+        # Cores may overlap, repeat, contain one another, meet the excluded
+        # variables or exceed the bound; each set comes once all the same.
+        q = MicroQuery(g.nodes[0], g.nodes[1], gamma, gamma_max)
+        window = sort_temporal(g, instantiate(g.nodes, q.window_floor, 0))
+        exclude = frozenset(data.draw(st.sets(st.sampled_from(window), max_size=3)))
+        core = st.frozensets(st.sampled_from(window), max_size=3)
+        cores = data.draw(st.lists(core, max_size=4))
+        if cores and data.draw(st.booleans()):
+            cores.append(data.draw(st.sampled_from(cores)) | data.draw(core))
+        want = {z for z in eager_candidate_subsets(g, q, bound, exclude) if any(c <= z for c in cores)}
+        sets = candidate_subsets(g, q, bound, exclude, cores)
+        got = list(sets)
+        assert len(got) == len(set(got)) == len(sets)
+        assert set(got) == want
+        assert list(sets) == got
 
 
 @st.composite
@@ -323,9 +349,10 @@ def _wrapped_checker(g, q, z) -> CriterionReport:
 
 
 class TestDescendantFreeCandidates:
-    """With the library's criterion the experiment skips the candidate sets
-    that meet the treatment's possible descendants: the criterion rejects
-    each of them, so the report is the one every subset gives."""
+    """With the library's criterion the experiment hands it only the
+    candidate sets that avoid the treatment's possible descendants and
+    contain one of the query's cores: the criterion rejects every other
+    set, so the report is the one every subset gives."""
 
     @given(
         small_scgs(),
@@ -348,14 +375,77 @@ class TestDescendantFreeCandidates:
         assert not report.satisfied
         assert report.violations[0].startswith("possible descendant of treatment in set: ")
 
+    @given(
+        small_scgs(),
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=1, max_value=2),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_accepted_set_contains_a_core(self, g, gamma, gamma_max, data):
+        # A core item accepts exactly the supersets of its core, condition C
+        # the supersets of one of its two cores, and a partition item only a
+        # superset of its mandated part, which holds the item's core.  Each
+        # set is a drawn descendant-free set plus some members of the cores,
+        # so many hold most of a core without all of it.
+        q = MicroQuery(g.nodes[0], g.nodes[1], gamma, gamma_max)
+        facts = query_facts(g, q)
+        if facts.verdict.kind not in (VerdictKind.COND_A, VerdictKind.COND_B, VerdictKind.COND_C):
+            return
+        pool = [tv for tv in sort_temporal(g, instantiate(g.nodes, q.window_floor, 0)) if tv not in facts.d]
+        extra = data.draw(st.frozensets(st.sampled_from(pool), max_size=3)) if pool else frozenset()
+        in_cores = sort_temporal(g, frozenset().union(*facts.cores.values()))[:8]
+        for k in range(len(in_cores) + 1):
+            for part in combinations(in_cores, k):
+                z = extra.union(part)
+                if scg_backdoor_check(g, q, z).satisfied:
+                    assert any(core <= z for core in facts.cores.values())
+
+    def test_every_accepted_subset_contains_a_core(self):
+        # Every descendant-free subset of up to 4 variables, on the worked
+        # graphs and on corpus graphs where the partition items accept: A.3
+        # on graph 51 of seed 7 and graph 33 of seed 11, B.2 on graph 29 of
+        # seed 11, all at gamma 0.
+        graphs = [scg_from_json(path.read_text()) for path in sorted(GRAPHS_DIR.glob("*.json"))]
+        graphs += [random_scg(CorpusConfig(seed=7), 51)]
+        graphs += [random_scg(CorpusConfig(seed=11), i) for i in (29, 33)]
+        items = Counter()
+        for g in graphs:
+            for gamma in (0, 1):
+                for gamma_max in (1, 2):
+                    q = MicroQuery("X", "Y", gamma, gamma_max)
+                    facts = query_facts(g, q)
+                    for z in candidate_subsets(g, q, 4, facts.d):
+                        report = scg_backdoor_check(g, q, z)
+                        if report.satisfied:
+                            items[report.item] += 1
+                            assert any(core <= z for core in facts.cores.values())
+        assert items["A.3"] > 0 and items["B.2"] > 0 and items["C"] > 0
+
+    @given(
+        small_scgs(),
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=1, max_value=2),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_mandated_part_grows_with_opened_series(self, g, gamma, gamma_max, data):
+        # Opening more colliders only opens more back-door paths, so the
+        # mandated part for no opened series is in every other one.
+        facts = query_facts(g, MicroQuery(g.nodes[0], g.nodes[1], gamma, gamma_max))
+        opened = frozenset(data.draw(st.sets(st.sampled_from(g.nodes))))
+        v = data.draw(st.sampled_from(g.nodes))
+        assert facts.z1_required(opened) <= facts.z1_required(opened | {v})
+
     @pytest.mark.parametrize(
         "cfg",
         [
             CorpusConfig(n_graphs=40, seed=7),
             CorpusConfig(n_graphs=40, seed=11),
             CorpusConfig(n_graphs=20, seed=11, gamma_max=2),
+            CorpusConfig(n_graphs=40, seed=7, node_count_range=(7, 8), max_subset_size=3),
         ],
-        ids=["seed7", "seed11", "seed11-gamma-max2"],
+        ids=["seed7", "seed11", "seed11-gamma-max2", "seed7-nodes7-8"],
     )
     def test_same_report_as_every_subset(self, cfg):
         fast = soundness_experiment(cfg)
@@ -363,14 +453,15 @@ class TestDescendantFreeCandidates:
         assert fast.to_json() == full.to_json()
 
     def test_criterion_sees_only_descendant_free_sets(self, monkeypatch):
-        # The library's criterion is asked once per descendant-free subset of
-        # each identifiable query; another checker once per subset.
+        # The library's criterion is asked once per descendant-free superset
+        # of a core of each identifiable query; another checker once per
+        # subset.
         cfg = CorpusConfig(n_graphs=20, seed=7)
         calls = []
         report_of = _QueryFacts.report
 
         def recording(self, z):
-            calls.append(bool(z & self.d))
+            calls.append((bool(z & self.d), any(core <= z for core in self.cores.values())))
             return report_of(self, z)
 
         monkeypatch.setattr(_QueryFacts, "report", recording)
@@ -385,12 +476,15 @@ class TestDescendantFreeCandidates:
             if row.verdict in ("CondA", "CondB", "CondC"):
                 g = random_scg(cfg, row.index)
                 q = MicroQuery("X", "Y", row.gamma, cfg.gamma_max)
-                want_fast += len(candidate_subsets(g, q, cfg.max_subset_size, exclude=query_facts(g, q).d))
+                facts = query_facts(g, q)
+                want_fast += len(candidate_subsets(g, q, cfg.max_subset_size, facts.d, facts.cores.values()))
                 want_full += len(candidate_subsets(g, q, cfg.max_subset_size))
-        assert not any(fast)
-        assert len(fast) == want_fast > 0
+        assert not any(clash for clash, _ in fast)
+        assert all(holds_core for _, holds_core in fast)
+        # 1,560 descendant-free subsets, of which 504 hold a core.
+        assert len(fast) == want_fast == 504
         assert len(full) == want_full > want_fast
-        assert any(full)
+        assert any(clash for clash, _ in full)
 
 
 class TestUnionCertificate:
