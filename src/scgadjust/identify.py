@@ -269,15 +269,10 @@ class _QueryFacts:
             return NOT_IDENTIFIABLE_REPORT
         clash = z & self.d
         if clash:
-            # The hot path: most candidate sets end here, so no helper call.
-            report = self._reports.get(clash)
-            if report is None:
-                rank, label = self.descendant_labels
-                labels = ", ".join(map(label.__getitem__, sorted(clash, key=rank.__getitem__)))
-                report = self._reports[clash] = CriterionReport(
-                    False, None, None, EMPTY, (f"possible descendant of treatment in set: {labels}",)
-                )
-            return report
+            text = "possible descendant of treatment in set: "
+            return self._interned(
+                clash, lambda: CriterionReport(False, None, None, EMPTY, (text + self._labels(clash),))
+            )
         if kind is VerdictKind.NON_ANCESTOR:
             return NON_ANCESTOR_REPORT
         if kind is VerdictKind.COND_C:
@@ -291,13 +286,6 @@ class _QueryFacts:
     @cached_property
     def ecn(self) -> frozenset[str]:
         return _close_under_components(scc_partition(self.g), self.cn)
-
-    @cached_property
-    def descendant_labels(self) -> tuple[dict[TemporalVar, int], dict[TemporalVar, str]]:
-        """Canonical rank and label of every possible descendant, for the
-        clash message; built on the first clash."""
-        order = sort_temporal(self.g, self.d)
-        return {tv: i for i, tv in enumerate(order)}, {tv: tv.label() for tv in order}
 
     def _labels(self, gap: AdjustmentSet) -> str:
         return ", ".join(tv.label() for tv in sort_temporal(self.g, gap))
@@ -555,46 +543,11 @@ def ftdag_opt(tmpl: FTDagTemplate, q: MicroQuery) -> AdjustmentSet:
     return frozenset(parents) - de_x
 
 
-class _WindowBits:
-    """Bit positions of a graph's temporal variables over one unrolling
-    window, bit ``(offset - lo) * |nodes| + series index``.  Every tester over
-    the window shares one, so the mask of a set that they check in turn is
-    worked out once: the last frozen set's mask is kept."""
-
-    def __init__(self, g: SCG, window: tuple[int, int]):
-        self.window = window
-        self._series = g._index
-        self._n = len(g.nodes)
-        self._last: tuple[AdjustmentSet | None, int] = (None, 0)
-
-    def mask(self, z: Iterable[TemporalVar]) -> int:
-        last, m = self._last
-        if z is last:
-            return m
-        lo, hi = self.window
-        m = 0
-        for tv in z:
-            series, offset = tv
-            i = self._series.get(series)
-            if i is None or not lo <= offset <= hi:
-                raise GraphError(f"temporal node {tv} outside window {self.window}")
-            m |= 1 << ((offset - lo) * self._n + i)
-        if type(z) is frozenset:
-            self._last = (z, m)
-        return m
-
-
-@lru_cache(maxsize=2)
-def _window_bits(g: SCG, window: tuple[int, int]) -> _WindowBits:
-    # Two entries: the oracle checks each set at two paddings in turn, the
-    # union certificate at the deeper one.
-    return _WindowBits(g, window)
-
-
 class _PrunedUnrolling:
     """Int masks of one unrolling over a padded window, built straight from
-    lag entries ``((u, w), lags)`` without an ``UnrolledGraph``; the bits are
-    those of the window's ``_WindowBits``, and edges leaving the window are
+    lag entries ``((u, w), lags)`` without an ``UnrolledGraph``: bit
+    ``(offset - lo) * |nodes| + series index`` stands for a temporal variable
+    of the window ``[lo, hi]`` (``mask``), and edges leaving the window are
     dropped.  The treatment's outgoing edges are pruned from the parent and
     child masks; its descendant mask keeps them.  ``check`` then costs one
     descendant-mask test plus one run of the shared Bayes-ball
@@ -604,12 +557,11 @@ class _PrunedUnrolling:
     def __init__(self, g: SCG, q: MicroQuery, extra_padding: int, lag_entries: Iterable):
         self.q = q
         self.window = lo, hi = padded_window(g, q, extra_padding)
-        self._bits = _window_bits(g, self.window)
-        index = g._index
-        n = len(g.nodes)
+        self._index = index = g._index
+        self._n = n = len(g.nodes)
         slices = hi - lo + 1
-        self._x = x = self._bits.mask([q.treatment_var])
-        self._y = self._bits.mask([q.outcome_var])
+        self._x = x = self.mask([q.treatment_var])
+        self._y = self.mask([q.outcome_var])
         xi = x.bit_length() - 1
         self._parents = parents = [0] * (n * slices)
         self._children = children = [0] * (n * slices)
@@ -627,11 +579,22 @@ class _PrunedUnrolling:
                         children[src] |= 1 << dst
         self._de_x = x | mask_closure(children, x_children)
 
+    def mask(self, z: Iterable[TemporalVar]) -> int:
+        lo, hi = self.window
+        m = 0
+        for tv in z:
+            series, offset = tv
+            i = self._index.get(series)
+            if i is None or not lo <= offset <= hi:
+                raise GraphError(f"temporal node {tv} outside window {self.window}")
+            m |= 1 << ((offset - lo) * self._n + i)
+        return m
+
     def descendant_clash(self, z: Iterable[TemporalVar]) -> bool:
-        return bool(self._bits.mask(z) & self._de_x)
+        return bool(self.mask(z) & self._de_x)
 
     def check(self, z: Iterable[TemporalVar]) -> bool:
-        zm = self._bits.mask(z)
+        zm = self.mask(z)
         if zm & self._de_x:
             return False
         return not d_connected(self._parents, self._children, self._x, self._y, zm)

@@ -50,6 +50,7 @@ from dataclasses import astuple, dataclass, field, fields
 from functools import cached_property
 from itertools import chain, combinations, starmap
 from math import comb
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 from .graph import SCG, mask_closure, validate_scg
@@ -503,16 +504,15 @@ def soundness_experiment(cfg: CorpusConfig, checker: Callable = scg_backdoor_che
                 for name, z in canonical_sets(g, q).items():
                     to_check.setdefault(z, name)
 
-                for z, origin in sorted(
-                    to_check.items(), key=lambda item: adjustment_set_to_obj(g, item[0])
-                ):
+                failed: list[dict] = []
+                for z, origin in to_check.items():
                     n_checked += 1
                     witness, unstable = classical.witness(z)
                     padding_instabilities += unstable
                     if witness is None:
                         n_sound += 1
                     else:
-                        counterexamples.append(
+                        failed.append(
                             {
                                 "graph_index": index,
                                 "gamma": gamma,
@@ -524,6 +524,8 @@ def soundness_experiment(cfg: CorpusConfig, checker: Callable = scg_backdoor_che
                                 "reason": "criterion-accepted set fails the classical back-door check",
                             }
                         )
+                # A query's counterexamples come in canonical order of their sets.
+                counterexamples.extend(sorted(failed, key=itemgetter("set")))
             rows.append(
                 GraphRow(
                     index, len(g.nodes), len(g.edges), gamma, verdict.kind.value,

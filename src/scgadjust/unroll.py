@@ -191,25 +191,15 @@ def iter_compatible_templates(g: SCG, gamma_max: int) -> Iterator[FTDagTemplate]
     edges = g.edge_list
     chosen: list[tuple[int, ...]] = []
     zero_children: dict[str, set[str]] = {v: set() for v in g.nodes}
-    # The lag sets of a kind of edge (self-loop or not) are listed as the walk
-    # reads them and kept once read to the end: a walk stopped after a few
-    # templates lists a few lag sets, not all 2**gamma_max of them.  A kept
-    # list is never empty, since gamma_max >= 1.
-    kept: dict[bool, list[tuple[int, ...]]] = {}
 
-    def listing(self_loop: bool) -> Iterator[tuple[int, ...]]:
-        listed = []
-        for subset in _nonempty_lag_subsets(gamma_max, self_loop):
-            listed.append(subset)
-            yield subset
-        kept[self_loop] = listed
-
+    # Each edge's lag sets are generated as the walk reads them, so a walk
+    # stopped early builds a few of them, not all 2**gamma_max.
     def rec(i: int) -> Iterator[FTDagTemplate]:
         if i == len(edges):
             yield FTDagTemplate(g, gamma_max, tuple(zip(edges, chosen)))
             return
         u, w = edges[i]
-        for subset in kept.get(u == w) or listing(u == w):
+        for subset in _nonempty_lag_subsets(gamma_max, u == w):
             if 0 in subset and u in closure(zero_children, [w]):
                 continue
             chosen.append(subset)
@@ -224,15 +214,14 @@ def iter_compatible_templates(g: SCG, gamma_max: int) -> Iterator[FTDagTemplate]
 
 
 def enumerate_compatible_templates(g: SCG, gamma_max: int, cap: int) -> list[FTDagTemplate]:
-    """Every compatible template, or ``TemplateCapExceeded`` past ``cap``."""
+    """Every compatible template, or ``TemplateCapExceeded`` past ``cap``,
+    found by arithmetic before any template is built."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    out: list[FTDagTemplate] = []
-    for tmpl in iter_compatible_templates(g, gamma_max):
-        out.append(tmpl)
-        if len(out) > cap:
-            raise TemplateCapExceeded(cap, len(out))
-    return out
+    n = count_compatible_templates(g, gamma_max, cap)
+    if n > cap:
+        raise TemplateCapExceeded(cap, n)
+    return list(iter_compatible_templates(g, gamma_max))
 
 
 def count_compatible_templates(g: SCG, gamma_max: int, limit: int) -> int:

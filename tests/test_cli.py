@@ -171,6 +171,15 @@ class TestUnroll:
         assert run(["unroll", "--graph", graph_file, "--gamma-max", "40"]) == 5
         assert capsys.readouterr().out == ""
 
+    def test_over_cap_checked_before_the_walk(self, graph_file, capsys):
+        # At gamma_max 10**9 one edge has 2**(10**9) lag sets: the cap test
+        # counts the templates by arithmetic before any lag set is listed.
+        argv = ["unroll", "--graph", graph_file, "--gamma-max", "1000000000"]
+        assert bounded(lambda: run(argv), timeout=10) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: more than 50 compatible templates (stopped at 51)\n"
+
     @staticmethod
     def ring_file(tmp_path, n):
         path = tmp_path / f"ring{n}.json"

@@ -42,7 +42,7 @@ from scgadjust import (
 )
 import scgadjust.graph
 from scgadjust.graph import cycle_profile, scc_of
-from scgadjust.identify import BackdoorTester, query_facts
+from scgadjust.identify import BackdoorTester, UnionTester, query_facts
 from scgadjust.oracle import CorpusConfig, candidate_subsets, random_scg
 from scgadjust.unroll import instantiate, padded_window, unroll
 
@@ -494,6 +494,14 @@ class TestErrorContract:
                 tester.check(bad)
             with pytest.raises(GraphError, match="outside window"):
                 tester.descendant_clash(bad)
+        # The union certificate unrolls the deeper padding, which holds the
+        # shallow window's lo - 1; its own bounds are the ones to step past.
+        g = persistence_template.scg
+        lo, hi = padded_window(g, q, q.gamma_max + 1)
+        union = UnionTester(g, q)
+        for bad in (zset(("W", lo - 1)), zset(("W", hi + 1)), zset(("Q", -1))):
+            with pytest.raises(GraphError, match="outside window"):
+                union.certify(bad)
 
 
 class TestQoptWitness:

@@ -335,6 +335,23 @@ class TestSoundness:
         assert report.sets_checked == 20
         assert all(row.verdict == "NonAncestor" for row in report.rows)
 
+    def test_only_counterexample_sets_rendered(self, monkeypatch):
+        # The checked sets are not put in canonical order; only the sets of
+        # the counterexamples are rendered, each once.
+        calls = 0
+        render = oracle.adjustment_set_to_obj
+
+        def counted(g, z):
+            nonlocal calls
+            calls += 1
+            return render(g, z)
+
+        monkeypatch.setattr(oracle, "adjustment_set_to_obj", counted)
+        assert soundness_experiment(CorpusConfig(n_graphs=40, seed=7)).counterexamples == ()
+        assert calls == 0
+        report = soundness_experiment(CorpusConfig(n_graphs=12, seed=7), checker=no_descendant_guard)
+        assert calls == len(report.counterexamples) == 10_787
+
     def test_injected_bug_is_caught(self, injected_bug_report):
         # A checker that loses the possible-descendant guard must be caught
         # by the classical side.

@@ -1,3 +1,4 @@
+import importlib
 import random
 from itertools import combinations, islice, permutations
 
@@ -37,6 +38,8 @@ from .references import (
     on_any_cycle,
     possible_descendants_bruteforce,
 )
+
+unroll_module = importlib.import_module("scgadjust.unroll")
 
 
 class TestQuery:
@@ -101,6 +104,31 @@ class TestEnumeration:
         # it returns at once only when its arithmetic saturates at the limit.
         assert count_compatible_templates(persistence_chain, 40, 50) == 51
         assert bounded(lambda: count_compatible_templates(persistence_chain, 10**9, 50), timeout=10) == 51
+
+    @pytest.fixture
+    def lag_set_budget(self, monkeypatch):
+        # At gamma_max 40 an edge has 2**40 lag sets; a walk that lists them
+        # eagerly fails here after 100 instead of filling memory.
+        lag_subsets = unroll_module._nonempty_lag_subsets
+        pulled = 0
+
+        def budgeted(gamma_max, self_loop):
+            nonlocal pulled
+            for subset in lag_subsets(gamma_max, self_loop):
+                pulled += 1
+                if pulled > 100:
+                    raise AssertionError("more than 100 lag sets pulled")
+                yield subset
+
+        monkeypatch.setattr(unroll_module, "_nonempty_lag_subsets", budgeted)
+
+    def test_enumeration_past_cap_at_large_gamma_max(self, single_edge, lag_set_budget):
+        with pytest.raises(TemplateCapExceeded) as exc:
+            enumerate_compatible_templates(single_edge, 40, cap=5)
+        assert exc.value.partial_count == 6
+
+    def test_walk_is_lazy_at_large_gamma_max(self, persistence_chain, lag_set_budget):
+        assert len(list(islice(iter_compatible_templates(persistence_chain, 40), 3))) == 3
 
     @given(small_scgs(max_nodes=4), st.integers(1, 3), st.integers(0, 300))
     @settings(max_examples=60)
