@@ -13,8 +13,9 @@ work on ``adj[v]`` lookups, so the same code serves name-keyed SCG indexes,
 ``closure`` is the one reachability walk: an SCG's ancestors, descendants
 and strongly connected components (classes of mutual reachability) all come
 from it; ``mask_closure`` is the same walk over int masks, bit i standing
-for node i.  ``d_connected`` is the package's one Bayes-ball; it works on
-int masks too.
+for node i.  ``d_reach`` is the package's one Bayes-ball, on int masks too:
+it returns every node a trail active given ``z`` reaches, and
+``d_connected`` asks it whether one of them is the other end.
 """
 
 from __future__ import annotations
@@ -194,9 +195,10 @@ def topological_order(nodes: Sequence, children) -> list | None:
     return order if len(order) == len(nodes) else None
 
 
-def d_connected(parents: Sequence[int], children: Sequence[int], a: int, b: int, z: int) -> bool:
-    """Bayes-ball (Shachter 1998): whether some trail from ``a`` to ``b`` is
-    active given ``z`` in an acyclic graph.
+def d_reach(parents: Sequence[int], children: Sequence[int], a: int, z: int, stop: int = 0) -> int:
+    """Bayes-ball (Shachter 1998): the nodes outside ``z`` that some trail
+    from ``a``, active given ``z``, reaches in an acyclic graph, ``a``
+    itself included; the walk ends early once it reaches a bit of ``stop``.
 
     Every argument is an int mask, bit i standing for node i; ``parents[i]``
     and ``children[i]`` are the masks of node i.  A ball arriving from a
@@ -204,22 +206,21 @@ def d_connected(parents: Sequence[int], children: Sequence[int], a: int, b: int,
     at a node in ``z``.  A ball arriving from a parent passes on to the
     children of a node outside ``z`` and bounces back to the parents of a
     node in ``z``, so a collider opens exactly when a descendant of it is in
-    ``z``.  Each node is visited at most once per direction, and reaching
-    ``b`` ends the walk.  Frontier nodes are taken highest bit first: in an
-    unrolling the low bits are the deepest past slices, which a walk from
-    the present rarely needs before it reaches ``b``.
+    ``z``.  Each node is visited at most once per direction.  Frontier nodes
+    are taken highest bit first: in an unrolling the low bits are the
+    deepest past slices, which a walk from the present rarely needs before
+    it reaches ``stop``.
 
     Every move of the walk stays a move when nodes or edges are added, so
     the set of nodes it reaches only grows with the graph.  On a graph with
     directed cycles (a union of unrollings, say) that monotonicity is all
     the walk is relied on for.
     """
-    if a & b:
-        return True
     # Frontiers of nodes reached from a child (travelling up) and from a parent.
     up, down = a, 0
     seen_up = seen_down = 0
-    while up or down:
+    reached = a
+    while (up or down) and not reached & stop:
         if up:
             i = up.bit_length() - 1
             top = 1 << i
@@ -238,11 +239,17 @@ def d_connected(parents: Sequence[int], children: Sequence[int], a: int, b: int,
                 new_up, new_down = parents[i] & ~seen_up, 0
             else:
                 new_up, new_down = 0, children[i] & ~seen_down
-        if (new_up | new_down) & b:
-            return True
+        reached |= new_up | new_down
         up |= new_up
         down |= new_down
-    return False
+    return reached & ~z
+
+
+def d_connected(parents: Sequence[int], children: Sequence[int], a: int, b: int, z: int) -> bool:
+    """Whether some trail from ``a`` to ``b`` is active given ``z``: the
+    ``d_reach`` walk, ended once it reaches ``b``.  Whether ``b`` itself is
+    in ``z`` does not matter, since the walk ends when it gets there."""
+    return bool(d_reach(parents, children, a, z & ~b, b) & b)
 
 
 def mask_closure(children: Sequence[int], seeds: int) -> int:

@@ -29,6 +29,7 @@ from .graph import (
     closure,
     cycle_profile,
     d_connected,
+    d_reach,
     descendants,
     mask_closure,
     scc_of,
@@ -608,27 +609,102 @@ class BackdoorTester(_PrunedUnrolling):
         super().__init__(tmpl.scg, q, extra_padding, tmpl.lag_entries)
 
 
-class UnionTester(_PrunedUnrolling):
+class _UnionUnrolling(_PrunedUnrolling):
+    """One unrolling of the union certificate, over the deeper padded window
+    ``padded_window(g, q, gamma_max + 1)``, with the reaches of the query's
+    cores in it."""
+
+    def __init__(self, g: SCG, q: MicroQuery, lag_entries: Iterable):
+        super().__init__(g, q, q.gamma_max + 1, lag_entries)
+        self._g = g
+
+    @cached_property
+    def _cores(self) -> list[list]:
+        """``[C, R_X, R_Y]`` for each core C of ``query_facts(g, q).cores``
+        certified here: C lies in the window and avoids the treatment's
+        descendants and the outcome, and R_X, the nodes the ball from the
+        treatment reaches given C, misses the outcome.  R_Y, the same from
+        the outcome, is walked on first use; until then it is None.
+        Neither reach holds a bit of C."""
+        out = []
+        for core in query_facts(self._g, self.q).cores.values():
+            try:
+                c = self.mask(core)
+            except GraphError:
+                continue
+            if c & (self._de_x | self._y):
+                continue
+            r_x = d_reach(self._parents, self._children, self._x, c, self._y)
+            if not r_x & self._y:
+                out.append([c, r_x, None])
+        return out
+
+    def certifies(self, zm: int) -> bool:
+        """Whether the set of mask ``zm`` passes the back-door check in every
+        template whose unrolling at either padding is a subgraph of this one.
+
+        A set that holds a certified core C and avoids the descendants
+        passes when W = z - C misses R_X or misses R_Y.  In such a template
+        T the reaches only shrink, so the outcome is not in the treatment's
+        reach given C there, and W misses one of the two reaches: X is
+        d-separated from Y given C, and from W, or W from Y.  Composition
+        gives X from {Y} + W given C (or {X} + W from Y), and weak union X
+        from Y given z.  Any other set takes one walk here."""
+        if zm & self._de_x:
+            return False
+        for core in self._cores:
+            c, r_x, r_y = core
+            if c & ~zm:
+                continue
+            if not zm & r_x:
+                return True
+            if r_y is None:
+                r_y = core[2] = d_reach(self._parents, self._children, self._y, c)
+            if not zm & r_y:
+                return True
+        return not d_connected(self._parents, self._children, self._x, self._y, zm)
+
+
+class UnionTester:
     """A certificate that a set passes the classical back-door check in every
     compatible template, at every extra padding up to ``gamma_max + 1``.
 
     It unrolls one union template over the window at that padding: every
     non-self edge carries every lag 0..gamma_max and every self-loop every
     lag 1..gamma_max, as in ``unroll.possible_descendants``.  The unrolling
-    may hold directed cycles.  ``certify`` is the back-door check there.  It
-    is sound because every compatible template's unrolling is a subgraph of
-    the union's, and a shallower padding's unrolling a subgraph of a deeper
-    one: descendants only grow with the graph, and so does the set the
-    Bayes-ball reaches.  A set the union refuses may still be valid; only
-    the templates can tell.
+    may hold directed cycles.  It is sound because every compatible
+    template's unrolling is a subgraph of the union's, and a shallower
+    padding's unrolling a subgraph of a deeper one: descendants only grow
+    with the graph, and so does the set the Bayes-ball reaches.
+
+    When the graph has both treatment -> outcome and outcome -> treatment,
+    it unrolls two masks instead, one per lag-0 orientation of that
+    2-cycle: one of the two edges keeps lags 0..gamma_max, the other lags
+    1..gamma_max.  A template's lag-0 edges are acyclic, so it holds at
+    most one of the two lag-0 edges, and its unrollings are subgraphs of
+    one of the masks.  ``certify`` then passes a set only when both
+    certify it (``_UnionUnrolling.certifies``); the two share one window,
+    and so one mask per set.  A set it refuses may still be valid; only the
+    templates can tell.
     """
 
     def __init__(self, g: SCG, q: MicroQuery):
+        self.q = q
         lags = range(q.gamma_max + 1)
-        entries = [((u, w), lags[1:] if u == w else lags) for (u, w) in g.edge_list]
-        super().__init__(g, q, q.gamma_max + 1, entries)
+        entries = {(u, w): lags[1:] if u == w else lags for (u, w) in g.edge_list}
+        xy, yx = (q.treatment, q.outcome), (q.outcome, q.treatment)
+        if xy in entries and yx in entries:
+            orientations = [{**entries, yx: lags[1:]}, {**entries, xy: lags[1:]}]
+        else:
+            orientations = [entries]
+        self._unrollings = [_UnionUnrolling(g, q, e.items()) for e in orientations]
 
-    certify = _PrunedUnrolling.check
+    def certify(self, z: Iterable[TemporalVar]) -> bool:
+        zm = self._unrollings[0].mask(z)
+        for u in self._unrollings:
+            if not u.certifies(zm):
+                return False
+        return True
 
 
 def classical_backdoor_check(

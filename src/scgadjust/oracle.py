@@ -26,11 +26,16 @@ template when there are at most ``cap`` of them, the densest ones otherwise.
 ``_ClassicalCheck`` holds the per-query testers over them.
 
 The soundness experiment first asks the union certificate
-(``identify.UnionTester``): one back-door check in the unrolling of the
-union of every compatible template, at the deeper padding.  Every
-template's unrolling at either padding is a subgraph of it, so a set it
-certifies is valid everywhere.  Only a set it refuses reaches the
-templates.  There, and in ``valid`` (``probe``, ``common_backdoor_valid``),
+(``identify.UnionTester``): a back-door check in the unrolling of the union
+of every compatible template, at the deeper padding, split into the two
+lag-0 orientations of a treatment-outcome 2-cycle.  Every template's
+unrolling at either padding is a subgraph of one of them, so a set it
+certifies is valid everywhere.  A set that holds one of the query's cores
+is mostly decided from two Bayes-ball reaches of that core, each walked at
+most once per query; any other set takes one walk.  Only a set it refuses
+reaches the templates, and in the corpora run so far only invalid sets are
+refused.
+There, and in ``valid`` (``probe``, ``common_backdoor_valid``),
 validity is decided in the undominated densest templates.  Every compatible
 template lies lag-set-wise within one of them, and a set valid in a template
 stays valid in every template it contains (the descendants shrink, and every
@@ -67,6 +72,7 @@ from .identify import (
     scg_backdoor_check,
 )
 from .unroll import (
+    MAX_HORIZON,
     FTDagTemplate,
     MicroQuery,
     TemplateCapExceeded,
@@ -111,6 +117,9 @@ class CorpusConfig:
             raise ValueError("edge_probability must be in [0, 1]")
         if self.gamma_max < 1:
             raise ValueError("gamma_max must be >= 1")
+        # The corpus queries reach gamma 1.
+        if self.gamma_max + 1 > MAX_HORIZON:
+            raise ValueError(f"gamma_max must be <= {MAX_HORIZON - 1}")
         if self.max_subset_size < 0:
             raise ValueError("max_subset_size must be >= 0")
 
@@ -267,7 +276,8 @@ class _ClassicalCheck:
         the two paddings (None if there is none), and the number of
         templates checked on the way whose paddings disagree.  A set the
         union certifies passes every template at both paddings, so only the
-        sets it refuses build and walk the templates."""
+        sets it refuses build and walk the templates: in the corpora run so
+        far, only sets that fail in some template."""
         if self.union.certify(z) or self.valid(z) and all(t.check(z) for t in self.padded):
             return None, 0
         unstable = 0

@@ -41,6 +41,12 @@ class QueryError(ValueError):
     """Malformed micro query."""
 
 
+# The largest gamma + gamma_max a query may have.  Every macro query builds
+# its adjustment window, gamma + gamma_max + 1 slices deep, so an absurd lag
+# is refused here rather than exhausting memory.
+MAX_HORIZON = 10_000
+
+
 class TemplateError(ValueError):
     """Lag assignment violates the template invariants."""
 
@@ -78,6 +84,8 @@ class MicroQuery:
             raise QueryError("gamma must be >= 0")
         if self.gamma_max < 1:
             raise QueryError("gamma_max must be >= 1")
+        if self.gamma + self.gamma_max > MAX_HORIZON:
+            raise QueryError(f"gamma + gamma_max must be <= {MAX_HORIZON}")
         object.__setattr__(self, "_hash", hash((self.treatment, self.outcome, self.gamma, self.gamma_max)))
 
     def __hash__(self) -> int:

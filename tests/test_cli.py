@@ -129,6 +129,30 @@ class TestSetsAndQopt:
         assert run(["qopt", *q_flags(str(path))]) == 2
 
 
+class TestHorizonBound:
+    """A lag past ``unroll.MAX_HORIZON`` is an input error, refused before
+    the adjustment window is built."""
+
+    @pytest.mark.parametrize("command", [["check", "--set", '[["W",-1]]'], ["sets"]])
+    def test_absurd_gamma_exit_4(self, graph_file, capsys, command):
+        argv = [command[0], *q_flags(graph_file, gamma="100000000"), *command[1:]]
+        assert bounded(lambda: run(argv), timeout=10) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: gamma + gamma_max must be <= 10000\n"
+
+    def test_absurd_gamma_max_validate_exit_4(self, capsys):
+        assert bounded(lambda: run(["validate", "--gamma-max", "100000000"]), timeout=10) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: gamma_max must be <= 9999\n"
+
+    def test_largest_horizon_accepted(self, graph_file, capsys):
+        argv = ["check", *q_flags(graph_file, gamma="9999"), "--set", '[["W",-1]]']
+        assert bounded(lambda: run(argv), timeout=30) == 3
+        assert json.loads(capsys.readouterr().out)["satisfied"] is False
+
+
 class TestUnroll:
     def test_edgelist(self, graph_file, capsys):
         code = run(

@@ -17,7 +17,7 @@ from scgadjust import (
     scg_from_json,
     validate_scg,
 )
-from scgadjust.graph import closure, d_connected, simple_directed_paths, topological_order
+from scgadjust.graph import closure, d_connected, d_reach, simple_directed_paths, topological_order
 
 from .conftest import small_scgs
 from .references import set_based_d_connected, tarjan
@@ -271,6 +271,34 @@ class TestKernel:
                 assert d_connected(pm, cm, 1 << a, 1 << b, zm) == set_based_d_connected(
                     parents, children, [a], {b}, z
                 )
+
+    @given(st.integers(min_value=1, max_value=8), st.data())
+    def test_d_reach_matches_set_walk(self, n, data):
+        # Acyclic masks (edges from a lower to a higher bit): the walk from
+        # ``a`` returns exactly the nodes outside ``z`` that the walk over
+        # sets finds d-connected to ``a`` given ``z``.  Ended at ``stop``, it
+        # reaches part of that, and reaches ``b`` just when ``d_connected``
+        # says so.
+        nodes = range(n)
+        pairs = [(u, w) for u in nodes for w in nodes if u < w]
+        edges = data.draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+        z = data.draw(st.sets(st.sampled_from(nodes)))
+        parents = [[u for u, w in edges if w == v] for v in nodes]
+        children = [[w for u, w in edges if u == v] for v in nodes]
+        pm = [sum(1 << u for u in ps) for ps in parents]
+        cm = [sum(1 << w for w in cs) for cs in children]
+        zm = sum(1 << v for v in z)
+        for a in nodes:
+            reach = d_reach(pm, cm, 1 << a, zm)
+            assert reach == sum(
+                1 << b for b in nodes if b not in z and set_based_d_connected(parents, children, [a], {b}, z)
+            )
+            for b in nodes:
+                if b in z:
+                    continue
+                stopped = d_reach(pm, cm, 1 << a, zm, stop=1 << b)
+                assert stopped & ~reach == 0
+                assert bool(stopped >> b & 1) == d_connected(pm, cm, 1 << a, 1 << b, zm)
 
 
 class TestSimplePaths:

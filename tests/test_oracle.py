@@ -34,6 +34,8 @@ from scgadjust.oracle import (
     soundness_experiment,
 )
 from scgadjust.unroll import (
+    MAX_HORIZON,
+    TemporalVar,
     count_compatible_templates,
     densest_templates,
     enumerate_compatible_templates,
@@ -84,6 +86,10 @@ class TestRandomScg:
             CorpusConfig(node_count_range=(5, 9))
         with pytest.raises(ValueError):
             CorpusConfig(template_cap=0)
+        # Its queries reach gamma 1, so gamma_max stops one below the bound.
+        assert CorpusConfig(gamma_max=MAX_HORIZON - 1).gamma_max == MAX_HORIZON - 1
+        with pytest.raises(ValueError, match="gamma_max must be <="):
+            CorpusConfig(gamma_max=MAX_HORIZON)
 
 
 class TestCommonBackdoor:
@@ -532,20 +538,93 @@ class TestUnionCertificate:
             for pad in (0, gamma_max + 1):
                 assert classical_backdoor_check(t, q, z, pad)
 
-    def test_templates_checked_for_refused_sets_only(self, monkeypatch, small_report):
-        # Two undominated templates at two paddings per set made 8,290 checks
-        # on this corpus; the certificate leaves about 150.
-        calls = Counter()
+    @given(
+        small_scgs(),
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=1, max_value=2),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_certified_superset_of_core_on_two_cycle(self, g, gamma, gamma_max, data):
+        # Treatment and outcome get both edges between them, so the
+        # certificate checks the 2-cycle's two lag-0 orientations, and the
+        # set holds a core when there is one, so the core's reaches decide it.
+        x, y = g.nodes[:2]
+        g = validate_scg(g.nodes, g.edges | {(x, y), (y, x)})
+        q = MicroQuery(x, y, gamma, gamma_max)
+        if count_compatible_templates(g, gamma_max, 200) > 200:
+            return
+        window = sort_temporal(g, instantiate(g.nodes, q.window_floor, 0))
+        cores = list(query_facts(g, q).cores.values())
+        z = data.draw(st.frozensets(st.sampled_from(window), max_size=4))
+        if cores:
+            z |= data.draw(st.sampled_from(cores))
+        if not UnionTester(g, q).certify(z):
+            return
+        for t in enumerate_compatible_templates(g, gamma_max, 200):
+            for pad in (0, gamma_max + 1):
+                assert classical_backdoor_check(t, q, z, pad)
+
+    def test_superset_opening_a_collider_refused(self, monkeypatch):
+        # X <- A -> W <- B -> Y and X -> Y, at gamma 0: the core {X@-1}
+        # blocks every lagged trail, so it is certified, but W@0 lies in the
+        # reach of both ends and opens the collider X@0 <- A@0 -> W@0 <- B@0
+        # -> Y@0.  The criterion's cores never meet such a W, so the query
+        # is handed this core in place of its own.
+        core, opened = zset(("X", -1)), zset(("X", -1), ("W", 0))
+        monkeypatch.setattr(_QueryFacts, "cores", property(lambda facts: {"drawn": core}))
+        g = validate_scg(["X", "Y", "A", "B", "W"], [("A", "X"), ("A", "W"), ("B", "W"), ("B", "Y"), ("X", "Y")])
+        q = MicroQuery("X", "Y", 0, 1)
+        tester = UnionTester(g, q)
+        assert tester.certify(core) and not tester.certify(opened)
+        assert not common_backdoor_valid(g, q, opened, cap=300)
+
+    def test_two_cycle_orientations_certify_condition_c_sets(self, cycle_pair_confounded):
+        # X <-> Y, both driven by W: the one union, which holds both lag-0
+        # edges, refuses each of the three accepted CondC sets; they are
+        # valid, and the two orientations certify them.
+        g = cycle_pair_confounded
+        q = MicroQuery("X", "Y", 1, 1)
+        facts = query_facts(g, q)
+        accepted = [
+            z
+            for z in candidate_subsets(g, q, 5, facts.d, facts.cores.values())
+            if scg_backdoor_check(g, q, z).satisfied
+        ]
+        assert len(accepted) == 3
+        tester = UnionTester(g, q)
+        assert all(tester.certify(z) and common_backdoor_valid(g, q, z) for z in accepted)
+
+    @staticmethod
+    def checked_sets(monkeypatch, cfg):
+        """The report on ``cfg`` and the (gamma, set) of every template check."""
+        checked = []
         check = BackdoorTester.check
 
         def counted(self, z):
-            calls["check"] += 1
+            checked.append((self.q.gamma, z))
             return check(self, z)
 
         monkeypatch.setattr(BackdoorTester, "check", counted)
-        report = soundness_experiment(CorpusConfig(n_graphs=40, seed=7))
-        assert 0 < calls["check"] <= 300
+        return soundness_experiment(cfg), checked
+
+    def test_templates_checked_for_refused_sets_only(self, monkeypatch, small_report):
+        # Two undominated templates at two paddings per set made 8,290 checks
+        # on this corpus, and the one union left 156; every set is valid, and
+        # the certificate now decides them all.
+        report, checked = self.checked_sets(monkeypatch, CorpusConfig(n_graphs=40, seed=7))
+        assert checked == []
         assert report.to_json() == small_report.to_json()
+
+    def test_templates_checked_for_counterexamples_only(self, monkeypatch):
+        # The one union sent 910 checks to the templates on this corpus; now
+        # only the 4 counterexample sets reach them.
+        report, checked = self.checked_sets(monkeypatch, CorpusConfig(n_graphs=200, seed=11))
+        assert len(report.counterexamples) == 4
+        assert len(checked) == 14
+        assert set(checked) == {
+            (c["gamma"], frozenset(TemporalVar(*tv) for tv in c["set"])) for c in report.counterexamples
+        }
 
 
 class TestPinnedValidateBytes:

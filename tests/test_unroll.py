@@ -23,6 +23,7 @@ from scgadjust import (
 from scgadjust.graph import GraphError, scc_partition
 from scgadjust.oracle import CorpusConfig, random_scg
 from scgadjust.unroll import (
+    MAX_HORIZON,
     count_compatible_templates,
     count_densest_templates,
     iter_compatible_templates,
@@ -52,6 +53,12 @@ class TestQuery:
             MicroQuery("X", "Y", -1, 1)
         with pytest.raises(QueryError):
             MicroQuery("X", "Y", 0, 0)
+
+    def test_horizon_bound(self):
+        assert MicroQuery("X", "Y", MAX_HORIZON - 1, 1).window_floor == -MAX_HORIZON
+        for gamma, gamma_max in ((MAX_HORIZON, 1), (0, MAX_HORIZON + 1), (10**8, 1)):
+            with pytest.raises(QueryError, match=f"gamma \\+ gamma_max must be <= {MAX_HORIZON}"):
+                MicroQuery("X", "Y", gamma, gamma_max)
 
     def test_window_floor(self):
         assert MicroQuery("X", "Y", 1, 2).window_floor == -3
