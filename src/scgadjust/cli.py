@@ -29,7 +29,7 @@ from .identify import (
 from .oracle import (
     TEMPLATE_CAP,
     CorpusConfig,
-    _GraphTemplates,
+    GraphTemplates,
     completeness_probe,
     probe_graph,
     soundness_experiment,
@@ -140,7 +140,7 @@ def cmd_qopt(args) -> int:
 def cmd_unroll(args) -> int:
     g = _load_graph(args.graph)
     if args.densest:
-        templates = _GraphTemplates(g, args.gamma_max, args.template_cap).densest
+        templates = GraphTemplates(g, args.gamma_max, args.template_cap).densest
     else:
         templates = enumerate_compatible_templates(g, args.gamma_max, cap=args.template_cap)
     if not 0 <= args.template_index < len(templates):

@@ -46,10 +46,8 @@ class SCG:
     _edge_list: tuple[tuple[NodeId, NodeId], ...] = field(init=False, repr=False, compare=False, hash=False, default=())
     # The graph is a key of the per-query caches, so its hash is computed once.
     _hash: int = field(init=False, repr=False, compare=False, hash=False, default=0)
-    # Set on first use, never by the constructor: the partition by
-    # ``scc_partition``, the edge split by ``unroll``.
+    # Set by ``scc_partition`` on first use, never by the constructor.
     _scc: SccPartition | None = field(init=False, repr=False, compare=False, hash=False, default=None)
-    _split: tuple | None = field(init=False, repr=False, compare=False, hash=False, default=None)
 
     def __post_init__(self):
         index = {v: i for i, v in enumerate(self.nodes)}
@@ -280,10 +278,16 @@ def ancestors(g: SCG, s: Iterable[NodeId]) -> frozenset[NodeId]:
 
 @dataclass(frozen=True)
 class SccPartition:
-    """Strongly connected components; order and membership are deterministic."""
+    """Strongly connected components; order and membership are deterministic.
+
+    ``between`` holds the non-self edges joining two components and
+    ``internal`` those within one, by component index, each in edge-list
+    order; only the internal ones can close a lag-0 cycle."""
 
     component_of: dict[NodeId, int]
     components: tuple[tuple[NodeId, ...], ...]
+    between: tuple[tuple[NodeId, NodeId], ...] = field(default=(), compare=False)
+    internal: dict[int, list[tuple[NodeId, NodeId]]] = field(default_factory=dict, compare=False)
 
 
 def scc_partition(g: SCG) -> SccPartition:
@@ -294,7 +298,8 @@ def scc_partition(g: SCG) -> SccPartition:
     declaration order, each node not yet placed opens the component of the
     nodes that it reaches and that reach it, both found by ``closure``.  So
     components come ordered by their smallest member index, and members in
-    declaration order."""
+    declaration order.  The non-self edges are then split into those between
+    components and those within one."""
     part = g._scc
     if part is None:
         component_of: dict[NodeId, int] = {}
@@ -304,7 +309,16 @@ def scc_partition(g: SCG) -> SccPartition:
                 comp = tuple(g.sorted_nodes(closure(g._children, [v]) & closure(g._parents, [v])))
                 component_of.update(dict.fromkeys(comp, len(components)))
                 components.append(comp)
-        part = SccPartition(component_of=component_of, components=tuple(components))
+        between: list[tuple[NodeId, NodeId]] = []
+        internal: dict[int, list[tuple[NodeId, NodeId]]] = {}
+        for (u, w) in g.edge_list:
+            if u == w:
+                continue
+            if component_of[u] == component_of[w]:
+                internal.setdefault(component_of[u], []).append((u, w))
+            else:
+                between.append((u, w))
+        part = SccPartition(component_of, tuple(components), tuple(between), internal)
         object.__setattr__(g, "_scc", part)
     return part
 

@@ -83,16 +83,20 @@ class Verdict:
         return dict(self.witness)
 
 
-@lru_cache(maxsize=1)
-def identify(g: SCG, q: MicroQuery, condition_c_form: str = "cycles") -> Verdict:
+def identify(g: SCG, q: MicroQuery) -> Verdict:
     """Classify the query; conditions are evaluated in the order A, B, C.
 
-    ``condition_c_form`` selects between the cycle-profile test on the outcome
-    ("cycles") and the equivalent component test on the treatment
-    ("component"); under the A-then-B-then-C order both give the same verdict.
-    The verdict of the most recent call is kept, like ``query_facts``, so the
-    facts of a query just classified do not classify it again.
+    The verdict is one of the query's facts (``query_facts``), so a query
+    is classified once however many of its answers a caller asks for.
     """
+    return query_facts(g, q).verdict
+
+
+def _classify(g: SCG, q: MicroQuery) -> Verdict:
+    """The case split of ``identify``.  Condition C is the cycle-profile test
+    on the outcome; under the A-then-B-then-C order it is the same test as
+    the component one on the treatment (``scc_x <= {x, y}`` and no
+    self-loop on the outcome), which the soundness experiment cross-checks."""
     g.check_nodes([q.treatment, q.outcome])
     x, y = q.treatment, q.outcome
     if x not in ancestors(g, [y]):
@@ -107,15 +111,8 @@ def identify(g: SCG, q: MicroQuery, condition_c_form: str = "cycles") -> Verdict
         an_y.discard(x)
         if not an_y & scc_x:
             return Verdict(VerdictKind.COND_B, (("scc_x", tuple(g.sorted_nodes(scc_x))),))
-    if q.gamma == 1:
-        if condition_c_form == "cycles":
-            ok = cycle_profile(g, y).only_cycle_is_two_cycle_with == x
-        elif condition_c_form == "component":
-            ok = scc_x <= frozenset([x, y]) and not g.has_self_loop(y)
-        else:
-            raise ValueError(f"unknown condition_c_form {condition_c_form!r}")
-        if ok:
-            return Verdict(VerdictKind.COND_C, (("cycle_partner", x),))
+    if q.gamma == 1 and cycle_profile(g, y).only_cycle_is_two_cycle_with == x:
+        return Verdict(VerdictKind.COND_C, (("cycle_partner", x),))
     return Verdict(
         VerdictKind.NOT_IDENTIFIABLE,
         (
@@ -232,8 +229,8 @@ class _QueryFacts:
 
     ``query_facts`` keeps the instance of the most recent pair and is the
     only per-query cache: callers finish one query before the next, so an
-    older query's facts are never needed again.  The verdict and the
-    possible descendants are computed up front; the rest on first use, so a
+    older query's facts are never needed again.  The verdict is computed up
+    front; the rest, the possible descendants included, on first use, so a
     query that is not identifiable or has a non-ancestor treatment, or a set
     rejected on the descendant clash, never searches a simple path.
 
@@ -247,14 +244,19 @@ class _QueryFacts:
     def __init__(self, g: SCG, q: MicroQuery):
         self.g = g
         self.q = q
-        self.verdict = identify(g, q)
+        self.verdict = _classify(g, q)
         self.floor = q.window_floor
-        self.d = possible_descendants(g, q.treatment, -q.gamma, (self.floor, 0), q.gamma_max)
         self._z1: dict[frozenset[str], AdjustmentSet] = {}
         # Interned reports, keyed by a clash (a set of temporal variables), a
         # tuple of gaps (sets of temporal variables) or an item name; no two
         # kinds of key compare equal.
         self._reports: dict[object, CriterionReport] = {}
+
+    @cached_property
+    def d(self) -> frozenset[TemporalVar]:
+        """The treatment's possible descendants in the adjustment window."""
+        q = self.q
+        return possible_descendants(self.g, q.treatment, -q.gamma, (self.floor, 0), q.gamma_max)
 
     def _interned(self, key: object, make: Callable[[], CriterionReport]) -> CriterionReport:
         report = self._reports.get(key)

@@ -16,7 +16,7 @@ the only sets it can accept, so its time follows their number rather than
 the sum over k of C(|window - D|, k); the probe, which looks for the sets
 the criterion rejects, still walks every subset of the pool.
 
-Both read two objects.  ``_GraphTemplates`` owns the templates of one
+Both read two objects.  ``GraphTemplates`` owns the templates of one
 (graph, gamma_max): the cap test (a graph with more densest templates than
 the cap is skipped, or raises ``TemplateCapExceeded`` once a set reaches the
 oracle), the ``n_densest`` and ``n_templates`` report columns, the densest
@@ -33,16 +33,16 @@ unrolling at either padding is a subgraph of one of them, so a set it
 certifies is valid everywhere.  A set that holds one of the query's cores
 is mostly decided from two Bayes-ball reaches of that core, each walked at
 most once per query; any other set takes one walk.  Only a set it refuses
-reaches the templates, and in the corpora run so far only invalid sets are
-refused.
-There, and in ``valid`` (``probe``, ``common_backdoor_valid``),
-validity is decided in the undominated densest templates.  Every compatible
-template lies lag-set-wise within one of them, and a set valid in a template
-stays valid in every template it contains (the descendants shrink, and every
-open path stays open in the supergraph), so a set that passes them passes
-every template.  The soundness experiment tests them at both paddings; a set
-that fails there goes through the ordered list, so its witness template and
-padding instabilities are the ones the full loop finds.
+reaches the templates: it goes through the ordered list at both paddings,
+so its witness template and padding instabilities are the ones the full
+loop finds.  In the corpora run so far only invalid sets are refused.
+
+``valid`` (``probe``, ``common_backdoor_valid``) decides validity in the
+undominated densest templates.  Every compatible template lies
+lag-set-wise within one of them, and a set valid in a template stays valid
+in every template it contains (the descendants shrink, and every open path
+stays open in the supergraph), so a set that passes them passes every
+template.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from math import comb
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
-from .graph import SCG, mask_closure, validate_scg
+from .graph import SCG, mask_closure, scc_of, validate_scg
 from .identify import (
     EMPTY,
     AdjustmentSet,
@@ -67,7 +67,6 @@ from .identify import (
     VerdictKind,
     adjustment_set_to_obj,
     canonical_sets,
-    identify,
     query_facts,
     scg_backdoor_check,
 )
@@ -167,7 +166,7 @@ def random_scg(cfg: CorpusConfig, index: int) -> SCG:
     return validate_scg(names, edges)
 
 
-class _GraphTemplates:
+class GraphTemplates:
     """The oracle's templates of one (graph, gamma_max), each computed on
     first use: a graph that is over the cap or not identifiable builds none."""
 
@@ -237,7 +236,7 @@ class _ClassicalCheck:
     """The classical back-door check of one query's sets over a graph's
     templates; each tester list is built on first use."""
 
-    def __init__(self, templates: _GraphTemplates, q: MicroQuery):
+    def __init__(self, templates: GraphTemplates, q: MicroQuery):
         self.templates = templates
         self.q = q
 
@@ -251,10 +250,6 @@ class _ClassicalCheck:
     @cached_property
     def plain(self) -> list[BackdoorTester]:
         return self._testers(self.templates.undominated)
-
-    @cached_property
-    def padded(self) -> list[BackdoorTester]:
-        return self._testers(self.templates.undominated, self.q.gamma_max + 1)
 
     @cached_property
     def in_order(self) -> list[tuple[FTDagTemplate, BackdoorTester, BackdoorTester]]:
@@ -278,7 +273,7 @@ class _ClassicalCheck:
         union certifies passes every template at both paddings, so only the
         sets it refuses build and walk the templates: in the corpora run so
         far, only sets that fail in some template."""
-        if self.union.certify(z) or self.valid(z) and all(t.check(z) for t in self.padded):
+        if self.union.certify(z):
             return None, 0
         unstable = 0
         for tmpl, plain, padded in self.in_order:
@@ -295,7 +290,7 @@ def common_backdoor_valid(
 ) -> bool:
     """Whether ``z`` passes the classical back-door check in every compatible
     full-time DAG.  ``cap`` bounds the densest-template count (over-cap raises)."""
-    return _ClassicalCheck(_GraphTemplates(g, q.gamma_max, cap), q).valid(frozenset(z))
+    return _ClassicalCheck(GraphTemplates(g, q.gamma_max, cap), q).valid(frozenset(z))
 
 
 @dataclass(frozen=True)
@@ -429,6 +424,13 @@ def candidate_subsets(
     return CandidateSets(pool, max_subset_size, cores)
 
 
+def _condition_c_component(g: SCG, q: MicroQuery) -> bool:
+    """Condition C's component form: the treatment's component lies within
+    {treatment, outcome} and the outcome has no self-loop.  Under the
+    A-then-B-then-C order it equals the verdict's cycle-profile test."""
+    return scc_of(g, q.treatment) <= {q.treatment, q.outcome} and not g.has_self_loop(q.outcome)
+
+
 def soundness_experiment(cfg: CorpusConfig, checker: Callable = scg_backdoor_check) -> SoundnessReport:
     """Replicates the algorithmic-validity experiment at the configured scale.
 
@@ -453,7 +455,9 @@ def soundness_experiment(cfg: CorpusConfig, checker: Callable = scg_backdoor_che
     of the cores in window - D up to ``max_subset_size`` with the library's
     criterion, the sum over k of C(|window|, k) with another checker.
     Blocking verdicts are recomputed at a deeper past padding and
-    disagreements are counted as instabilities.
+    disagreements are counted as instabilities; a gamma-1 verdict that
+    reached condition C is recomputed with the component form, and
+    disagreements are counted as ``condition_c_form_mismatches``.
     """
     rows: list[GraphRow] = []
     counterexamples: list[dict] = []
@@ -463,7 +467,7 @@ def soundness_experiment(cfg: CorpusConfig, checker: Callable = scg_backdoor_che
 
     for index in range(cfg.n_graphs):
         g = random_scg(cfg, index)
-        templates = _GraphTemplates(g, cfg.gamma_max, cfg.template_cap)
+        templates = GraphTemplates(g, cfg.gamma_max, cfg.template_cap)
         if templates.over_cap:
             skipped += 1
             rows.append(
@@ -475,12 +479,13 @@ def soundness_experiment(cfg: CorpusConfig, checker: Callable = scg_backdoor_che
 
         for gamma in (0, 1):
             q = MicroQuery("X", "Y", gamma, cfg.gamma_max)
-            # The component form first: ``identify`` keeps its latest verdict,
-            # and the query's facts read the default form's.
-            component_kind = identify(g, q, condition_c_form="component").kind
-            verdict = identify(g, q)
-            if component_kind is not verdict.kind:
-                condition_c_form_mismatches += 1
+            facts = query_facts(g, q)
+            verdict = facts.verdict
+            # At gamma 1 condition B cannot fire, so a verdict that reached
+            # condition C is CondC or NotIdentifiable.
+            if gamma == 1 and verdict.kind in (VerdictKind.COND_C, VerdictKind.NOT_IDENTIFIABLE):
+                if _condition_c_component(g, q) != (verdict.kind is VerdictKind.COND_C):
+                    condition_c_form_mismatches += 1
             classical = _ClassicalCheck(templates, q)
 
             n_checked = n_sound = 0
@@ -505,7 +510,6 @@ def soundness_experiment(cfg: CorpusConfig, checker: Callable = scg_backdoor_che
                 # checker sees all.
                 exclude, cores = frozenset(), (EMPTY,)
                 if checker is scg_backdoor_check:
-                    facts = query_facts(g, q)
                     exclude, cores = facts.d, facts.cores.values()
                 to_check: dict[AdjustmentSet, str] = {}
                 for z in candidate_subsets(g, q, cfg.max_subset_size, exclude, cores):
@@ -556,7 +560,7 @@ def soundness_experiment(cfg: CorpusConfig, checker: Callable = scg_backdoor_che
     )
 
 
-def _probe(g: SCG, q: MicroQuery, max_subset_size: int, templates: _GraphTemplates) -> list[AdjustmentSet]:
+def _probe(g: SCG, q: MicroQuery, max_subset_size: int, templates: GraphTemplates) -> list[AdjustmentSet]:
     facts = query_facts(g, q)
     if not facts.verdict.identifiable:
         return []
@@ -580,7 +584,7 @@ def probe_graph(
     """
     if max_subset_size < 0:
         raise ValueError("max_subset_size must be >= 0")
-    return _probe(g, q, max_subset_size, _GraphTemplates(g, q.gamma_max, cap))
+    return _probe(g, q, max_subset_size, GraphTemplates(g, q.gamma_max, cap))
 
 
 @dataclass(frozen=True)
@@ -609,7 +613,7 @@ def completeness_probe(cfg: CorpusConfig) -> ProbeReport:
     skipped = 0
     for index in range(cfg.n_graphs):
         g = random_scg(cfg, index)
-        templates = _GraphTemplates(g, cfg.gamma_max, cfg.template_cap)
+        templates = GraphTemplates(g, cfg.gamma_max, cfg.template_cap)
         if templates.over_cap:
             skipped += 1
             continue

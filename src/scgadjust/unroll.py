@@ -18,7 +18,6 @@ from typing import Iterable, Iterator, NamedTuple
 from .graph import (
     SCG,
     GraphError,
-    SccPartition,
     closure,
     scc_partition,
     scg_from_json,
@@ -248,12 +247,12 @@ def count_compatible_templates(g: SCG, gamma_max: int, limit: int) -> int:
     cap = max(limit, 0) + 1
     k = min(gamma_max, cap.bit_length())
     with_zero, positive, non_self = min(1 << k, cap), min((1 << k) - 1, cap), min((2 << k) - 1, cap)
-    _, between, internal = _split_edges(g)
+    part = scc_partition(g)
     loops = sum(u == w for (u, w) in g.edge_list)
     factors = chain(
         [positive] * loops,
-        [non_self] * len(between),
-        (_acyclic_weight_sum(edges, with_zero, positive, cap) for edges in internal.values()),
+        [non_self] * len(part.between),
+        (_acyclic_weight_sum(edges, with_zero, positive, cap) for edges in part.internal.values()),
     )
     n = 1
     for factor in factors:
@@ -307,41 +306,18 @@ def _maximal_acyclic_subsets(nodes: tuple[str, ...], edges: list[tuple[str, str]
     return sorted(seen, key=lambda s: sorted(s))
 
 
-def _split_edges(g: SCG) -> tuple[SccPartition, list[tuple[str, str]], dict[int, list[tuple[str, str]]]]:
-    """The strongly connected components of ``g``, its non-self edges
-    between two components, and its non-self edges within one, by component
-    index.  Only the last can close a lag-0 cycle.  Computed on first use
-    and kept on ``g``, like the partition: the graph is frozen."""
-    split = g._split
-    if split is None:
-        part = scc_partition(g)
-        comp = part.component_of
-        between: list[tuple[str, str]] = []
-        internal: dict[int, list[tuple[str, str]]] = {}
-        for (u, w) in g.edge_list:
-            if u == w:
-                continue
-            if comp[u] == comp[w]:
-                internal.setdefault(comp[u], []).append((u, w))
-            else:
-                between.append((u, w))
-        split = part, between, internal
-        object.__setattr__(g, "_split", split)
-    return split
-
-
 def _zero_lag_choices(g: SCG) -> tuple[set[tuple[str, str]], list[list[frozenset[tuple[str, str]]]]]:
     """The lag-0 edges of the densest templates: the non-self edges between
     strongly connected components, which keep lag 0 in all of them, and for
     each component with internal edges the internal-edge sets that its node
     orders induce."""
-    part, between, internal = _split_edges(g)
+    part = scc_partition(g)
     per_scc = [
-        _maximal_acyclic_subsets(members, internal[idx])
+        _maximal_acyclic_subsets(members, part.internal[idx])
         for idx, members in enumerate(part.components)
-        if idx in internal
+        if idx in part.internal
     ]
-    return set(between), per_scc
+    return set(part.between), per_scc
 
 
 def count_densest_templates(g: SCG) -> int:
@@ -358,9 +334,9 @@ def count_densest_templates(g: SCG) -> int:
     inclusion-exclusion over the set of sources: a(S) is the sum over the
     non-empty independent I within S of (-1)**(|I|+1) * a(S - I), with a of
     the empty set 1."""
-    part, _, internal = _split_edges(g)
+    part = scc_partition(g)
     n = 1
-    for idx, edges in internal.items():
+    for idx, edges in part.internal.items():
         index = {v: i for i, v in enumerate(part.components[idx])}
         skeleton = [0] * len(index)
         for (u, w) in edges:

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scgadjust
+from scgadjust import oracle
 from scgadjust.cli import run
 from scgadjust.oracle import soundness_experiment
 
@@ -257,6 +258,18 @@ class TestValidate:
         captured = capsys.readouterr()
         assert json.loads(captured.out)["counterexamples"] == []
         assert captured.err == "2 condition-C form mismatches\n"
+
+    def test_condition_c_cross_check_exit_1(self, monkeypatch, capsys):
+        # The oracle's component test, made to disagree with every verdict,
+        # counts each gamma-1 query that reached condition C.
+        component = oracle._condition_c_component
+        monkeypatch.setattr(oracle, "_condition_c_component", lambda g, q: not component(g, q))
+        assert run(["validate", "--n-graphs", "12", "--seed", "7", "--max-subset-size", "2"]) == 1
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        reached = [r for r in report["rows"] if r["gamma"] == 1 and r["verdict"] in ("CondC", "NotIdentifiable")]
+        assert reached and report["counterexamples"] == []
+        assert captured.err == f"{len(reached)} condition-C form mismatches\n"
 
 
 class TestProbe:

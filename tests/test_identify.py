@@ -120,7 +120,7 @@ class TestVerdicts:
     @settings(max_examples=80)
     def test_component_form_agrees(self, g, gamma):
         q = MicroQuery(g.nodes[0], g.nodes[1], gamma, 1)
-        assert identify(g, q).kind is identify(g, q, condition_c_form="component").kind
+        assert identify(g, q).kind is _verdict_with_subgraph(g, q, "component").kind
 
     @given(small_scgs(max_nodes=5))
     @settings(max_examples=100)
@@ -129,7 +129,7 @@ class TestVerdicts:
             for gamma in (0, 1, 2):
                 q = MicroQuery(x, y, gamma, 1)
                 for form in ("cycles", "component"):
-                    assert identify(g, q, form) == _verdict_with_subgraph(g, q, form)
+                    assert identify(g, q) == _verdict_with_subgraph(g, q, form)
 
 
 class TestCausalNodes:
@@ -614,7 +614,6 @@ class TestMacroPathEnumeratesNoTemplates:
                 for attr in self.ENUMERATORS:
                     if hasattr(mod, attr):
                         monkeypatch.setattr(mod, attr, forbidden)
-        identify.cache_clear()
         query_facts.cache_clear()
         yield
         query_facts.cache_clear()

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib
 import json
@@ -50,6 +51,8 @@ from .references import eager_candidate_subsets
 GRAPHS_DIR = Path(__file__).resolve().parent.parent / "graphs"
 # The package exports the function ``unroll`` under the module's name.
 unroll_module = importlib.import_module("scgadjust.unroll")
+identify_module = importlib.import_module("scgadjust.identify")
+graph_module = importlib.import_module("scgadjust.graph")
 
 
 class TestRandomScg:
@@ -226,7 +229,7 @@ class TestAncestorCheck:
         y = [q.outcome_var]
         templates = enumerate_compatible_templates(g, gamma_max, 300)
         every = any(BackdoorTester(t, q).descendant_clash(y) for t in templates)
-        check = oracle._ClassicalCheck(oracle._GraphTemplates(g, gamma_max, 10_000), q)
+        check = oracle._ClassicalCheck(oracle.GraphTemplates(g, gamma_max, 10_000), q)
         assert check.makes_ancestor() == every
 
 
@@ -274,7 +277,8 @@ class TestSoundness:
 
     def test_query_facts_built_once_per_query(self, monkeypatch):
         # The facts cache holds one query, and the experiment finishes each
-        # query before it starts the next: no query's facts are built twice.
+        # query before it starts the next: every query that is not skipped
+        # has its facts built, the verdict among them, and none twice.
         builds = Counter()
         build = _QueryFacts.__init__
 
@@ -285,36 +289,59 @@ class TestSoundness:
         monkeypatch.setattr(_QueryFacts, "__init__", counted)
         query_facts.cache_clear()
         report = soundness_experiment(CorpusConfig(n_graphs=20, seed=7))
-        identifiable = [row for row in report.rows if row.verdict in ("CondA", "CondB", "CondC")]
-        assert len(identifiable) > 5
-        assert len(builds) == len(identifiable)
+        queries = [row for row in report.rows if not row.skipped]
+        assert len(queries) > 10
+        assert len(builds) == len(queries)
         assert set(builds.values()) == {1}
 
-    def test_one_verdict_per_query_and_form(self):
-        # ``identify`` keeps its latest verdict: the default form, classified
-        # after the component form, is what the query's facts read again.
-        identify.cache_clear()
+    def test_one_classification_per_query(self, monkeypatch):
+        # The verdict is one of the query's facts: each query that is not
+        # skipped is classified once, the condition-C cross-check included.
+        classified = []
+        classify = identify_module._classify
+
+        def counted(g, q):
+            classified.append((g, q))
+            return classify(g, q)
+
+        monkeypatch.setattr(identify_module, "_classify", counted)
+        query_facts.cache_clear()
         report = soundness_experiment(CorpusConfig(n_graphs=20, seed=7))
         queries = [row for row in report.rows if not row.skipped]
         assert len(queries) > 10
-        assert identify.cache_info().misses == 2 * len(queries)
+        assert len(classified) == len(queries)
+
+    def test_condition_c_cross_check_counts(self, monkeypatch, small_report):
+        # A component test that disagrees with every verdict is counted once
+        # per gamma-1 query whose verdict reached condition C (CondC or
+        # NotIdentifiable: condition B cannot fire at gamma 1).
+        component = oracle._condition_c_component
+        monkeypatch.setattr(oracle, "_condition_c_component", lambda g, q: not component(g, q))
+        report = soundness_experiment(CorpusConfig(n_graphs=40, seed=7))
+        reached = [r for r in report.rows if r.gamma == 1 and r.verdict in ("CondC", "NotIdentifiable")]
+        assert any(r.verdict == "CondC" for r in reached)
+        assert any(r.verdict == "NotIdentifiable" for r in reached)
+        assert report.condition_c_form_mismatches == len(reached)
+        assert dataclasses.replace(report, condition_c_form_mismatches=0).to_json() == small_report.to_json()
 
     def test_edges_split_once_per_graph(self, monkeypatch):
-        # Every split ``_split_edges`` hands out, with its graph; two distinct
-        # split objects of one graph are two computations.
-        splits = []
-        split_edges = unroll_module._split_edges
+        # Every partition ``scc_partition`` hands out, with its graph; the
+        # partition holds the edge split, and two distinct partition objects
+        # of one graph are two computations.
+        partitions = []
+        original = graph_module.scc_partition
 
         def recording(g):
-            split = split_edges(g)
-            splits.append((g, split))
-            return split
+            part = original(g)
+            partitions.append((g, part))
+            return part
 
-        monkeypatch.setattr(unroll_module, "_split_edges", recording)
+        for mod in (graph_module, unroll_module, identify_module):
+            monkeypatch.setattr(mod, "scc_partition", recording)
         soundness_experiment(CorpusConfig(n_graphs=20, seed=7))
         computed: dict[int, set[int]] = {}
-        for g, split in splits:
-            computed.setdefault(id(g), set()).add(id(split))
+        for g, part in partitions:
+            computed.setdefault(id(g), set()).add(id(part))
         assert len(computed) == 20
         assert all(len(ids) == 1 for ids in computed.values())
 
@@ -618,10 +645,11 @@ class TestUnionCertificate:
 
     def test_templates_checked_for_counterexamples_only(self, monkeypatch):
         # The one union sent 910 checks to the templates on this corpus; now
-        # only the 4 counterexample sets reach them.
+        # only the 4 counterexample sets reach them, straight in the ordered
+        # list, each stopping at its first failing template.
         report, checked = self.checked_sets(monkeypatch, CorpusConfig(n_graphs=200, seed=11))
         assert len(report.counterexamples) == 4
-        assert len(checked) == 14
+        assert len(checked) == 10
         assert set(checked) == {
             (c["gamma"], frozenset(TemporalVar(*tv) for tv in c["set"])) for c in report.counterexamples
         }
@@ -769,7 +797,7 @@ class TestCompletenessProbe:
 
     def test_latent_fork_collider_equals_eager_reference(self, latent_fork_collider):
         g, q = latent_fork_collider, query(gamma=0)
-        classical = oracle._ClassicalCheck(oracle._GraphTemplates(g, q.gamma_max, oracle.TEMPLATE_CAP), q)
+        classical = oracle._ClassicalCheck(oracle.GraphTemplates(g, q.gamma_max, oracle.TEMPLATE_CAP), q)
         want = [
             z
             for z in eager_candidate_subsets(g, q, 4, exclude=query_facts(g, q).d)
