@@ -379,6 +379,18 @@ class _QueryFacts:
             out["A.4-core"] = (pa_x | ecn_parents) - d
         return out
 
+    @cached_property
+    def split_cores(self) -> tuple[list[AdjustmentSet], list[AdjustmentSet]]:
+        """The cores of the core items (A.1, A.2, A.4, B.1 and condition C's
+        two), each accepting exactly the in-window supersets of its core that
+        avoid the possible descendants, and those of the partition items
+        (A.3, B.2), which accept only some of their core's supersets."""
+        items: list[AdjustmentSet] = []
+        partition: list[AdjustmentSet] = []
+        for name, core in self.cores.items():
+            (partition if name.removesuffix("-core") in _PARTITION_ITEMS else items).append(core)
+        return items, partition
+
     def z1_required(self, opened_series: frozenset[str]) -> AdjustmentSet:
         """The mandated part Z1 when the free part opens the colliders of
         ``opened_series``: parents of the causal nodes and of the extended
@@ -641,6 +653,24 @@ class _UnionUnrolling(_PrunedUnrolling):
                 out.append([c, r_x, None])
         return out
 
+    def _r_y(self, core: list) -> int:
+        if core[2] is None:
+            core[2] = d_reach(self._parents, self._children, self._y, core[0])
+        return core[2]
+
+    def certifies_up_set(self, c: int, pool: int) -> bool:
+        """Whether ``certifies`` passes every set z with C <= z <= pool, for
+        the core C of mask ``c``: C is one of the certified cores, the pool
+        misses the descendants, and pool - C misses R_X or misses R_Y, so
+        every such z - C misses it too.  Neither reach holds a bit of C, so
+        the pool's mask stands for pool - C."""
+        if pool & self._de_x:
+            return False
+        for core in self._cores:
+            if core[0] == c:
+                return not pool & core[1] or not pool & self._r_y(core)
+        return False
+
     def certifies(self, zm: int) -> bool:
         """Whether the set of mask ``zm`` passes the back-door check in every
         template whose unrolling at either padding is a subgraph of this one.
@@ -655,14 +685,9 @@ class _UnionUnrolling(_PrunedUnrolling):
         if zm & self._de_x:
             return False
         for core in self._cores:
-            c, r_x, r_y = core
-            if c & ~zm:
+            if core[0] & ~zm:
                 continue
-            if not zm & r_x:
-                return True
-            if r_y is None:
-                r_y = core[2] = d_reach(self._parents, self._children, self._y, c)
-            if not zm & r_y:
+            if not zm & core[1] or not zm & self._r_y(core):
                 return True
         return not d_connected(self._parents, self._children, self._x, self._y, zm)
 
@@ -707,6 +732,15 @@ class UnionTester:
             if not u.certifies(zm):
                 return False
         return True
+
+    def certify_up_set(self, core: AdjustmentSet, pool: Iterable[TemporalVar]) -> bool:
+        """Whether ``certify`` passes every set that holds ``core`` and lies
+        within ``pool``, decided with one test per lag-0 orientation
+        (``_UnionUnrolling.certifies_up_set``) and no set built.  A family it
+        refuses may still be certified set by set."""
+        first = self._unrollings[0]
+        c, pm = first.mask(core), first.mask(pool)
+        return all(u.certifies_up_set(c, pm) for u in self._unrollings)
 
 
 def classical_backdoor_check(

@@ -6,15 +6,17 @@ against the classical back-door criterion in the compatible full-time DAGs.
 The completeness probe searches the other way, for sets valid in every
 compatible full-time DAG that the criterion rejects.  Both generate their
 candidate sets one at a time (``CandidateSets``) and keep only the ones they
-report, so memory does not grow with the subset bound; time still does, with
-the number of sets generated.  Their pool is the window less the treatment's
-possible descendants D, except for a caller-supplied checker in the
-soundness experiment, which sees the whole window: the library's criterion
-rejects every set that meets D.  The soundness experiment hands the
-library's criterion only the supersets of the query's cores in that pool,
-the only sets it can accept, so its time follows their number rather than
-the sum over k of C(|window - D|, k); the probe, which looks for the sets
-the criterion rejects, still walks every subset of the pool.
+report, so memory does not grow with the subset bound.  Their pool is the
+window less the treatment's possible descendants D, except for a
+caller-supplied checker in the soundness experiment, which sees the whole
+window: the library's criterion rejects every set that meets D.  With the
+library's criterion the soundness experiment infers the acceptances of the
+core items from the up-set lemma (each accepts exactly the supersets of its
+core in that pool), counts them by inclusion-exclusion and certifies each
+core's up-set with one test; only the partition items' other supersets go
+to the criterion one at a time, so its time follows the number of cores
+rather than of accepted sets.  The probe, which looks for the sets the
+criterion rejects, still walks every subset of the pool.
 
 Both read two objects.  ``GraphTemplates`` owns the templates of one
 (graph, gamma_max): the cap test (a graph with more densest templates than
@@ -32,10 +34,13 @@ lag-0 orientations of a treatment-outcome 2-cycle.  Every template's
 unrolling at either padding is a subgraph of one of them, so a set it
 certifies is valid everywhere.  A set that holds one of the query's cores
 is mostly decided from two Bayes-ball reaches of that core, each walked at
-most once per query; any other set takes one walk.  Only a set it refuses
-reaches the templates: it goes through the ordered list at both paddings,
-so its witness template and padding instabilities are the ones the full
-loop finds.  In the corpora run so far only invalid sets are refused.
+most once per query, and the same reaches certify a core's whole up-set
+within a pool at once (``UnionTester.certify_up_set``); any other set takes
+one walk.  A query with a refused set or family is checked set by set, and
+only a set the certificate refuses reaches the templates: it goes through
+the ordered list at both paddings, so its witness template and padding
+instabilities are the ones the full loop finds.  In the corpora run so far
+only invalid sets are refused.
 
 ``valid`` (``probe``, ``common_backdoor_valid``) decides validity in the
 undominated densest templates.  Every compatible template lies
@@ -367,7 +372,8 @@ class CandidateSets:
     Sized by arithmetic and iterable any number of times; each pass builds
     its sets one at a time and holds no set it has yielded, so only the sets
     a caller keeps stay in memory.  A set is a core's union with one-element
-    sets built once, which reuses their stored hashes.
+    sets built once, which reuses their stored hashes.  Membership (``in``)
+    is decided from the set alone, with no pass over the sets.
     """
 
     def __init__(
@@ -375,26 +381,30 @@ class CandidateSets:
     ):
         self._singles = tuple(frozenset((tv,)) for tv in pool)
         self._max_size = max_size
-        whole = frozenset().union(*self._singles)
-        fits = tuple(dict.fromkeys(c for c in cores if len(c) <= max_size and c <= whole))
-        self._cores = tuple(c for c in fits if not any(o < c for o in fits))
+        self.pool = frozenset().union(*self._singles)
+        fits = tuple(dict.fromkeys(c for c in cores if len(c) <= max_size and c <= self.pool))
+        # The cores that have a set, each holding no other.
+        self.cores = tuple(c for c in fits if not any(o < c for o in fits))
+
+    def __contains__(self, z: AdjustmentSet) -> bool:
+        return len(z) <= self._max_size and z <= self.pool and any(c <= z for c in self.cores)
 
     def __len__(self) -> int:
         # Inclusion-exclusion over the cores: the sets holding every core of
         # a group T are the sets holding their union U, which number
         # N(U) = sum over j <= max_size - |U| of C(|pool| - |U|, j).
         n, total = len(self._singles), 0
-        for r in range(1, len(self._cores) + 1):
-            for group in combinations(self._cores, r):
+        for r in range(1, len(self.cores) + 1):
+            for group in combinations(self.cores, r):
                 u = len(frozenset().union(*group))
                 total += (-1) ** (r + 1) * sum(comb(n - u, j) for j in range(self._max_size - u + 1))
         return total
 
     def __iter__(self) -> Iterator[AdjustmentSet]:
-        return chain.from_iterable(self._of_core(i) for i in range(len(self._cores)))
+        return chain.from_iterable(self._of_core(i) for i in range(len(self.cores)))
 
     def _of_core(self, i: int) -> Iterator[AdjustmentSet]:
-        core, earlier = self._cores[i], self._cores[:i]
+        core, earlier = self.cores[i], self.cores[:i]
         rest = [s for s in self._singles if not s <= core]
         sets = chain.from_iterable(
             starmap(core.union, combinations(rest, k)) for k in range(self._max_size - len(core) + 1)
@@ -431,6 +441,80 @@ def _condition_c_component(g: SCG, q: MicroQuery) -> bool:
     return scc_of(g, q.treatment) <= {q.treatment, q.outcome} and not g.has_self_loop(q.outcome)
 
 
+def _certified_count(g: SCG, q: MicroQuery, max_subset_size: int, union: UnionTester) -> int | None:
+    """The number of distinct sets the per-set loop checks on an identifiable
+    query with the library's criterion when the union certificate passes
+    every one of them, else None.
+
+    The family F, the supersets of the core items' cores in window - D up to
+    the bound, is accepted whole, as each core item accepts exactly the
+    supersets of its core that avoid D: it is counted by inclusion-exclusion
+    and certified with one test per core and lag-0 orientation.  Only the
+    partition items' candidates outside F go to the criterion, and the ones
+    it accepts, with the canonical sets outside F, to the certificate."""
+    facts = query_facts(g, q)
+    item_cores, partition_cores = facts.split_cores
+    family = candidate_subsets(g, q, max_subset_size, facts.d, item_cores)
+    if not all(union.certify_up_set(core, family.pool) for core in family.cores):
+        return None
+    rest = {
+        z
+        for z in candidate_subsets(g, q, max_subset_size, facts.d, partition_cores)
+        if z not in family and scg_backdoor_check(g, q, z).satisfied
+    }
+    rest.update(z for z in canonical_sets(g, q).values() if z not in family)
+    if not all(map(union.certify, rest)):
+        return None
+    return len(family) + len(rest)
+
+
+def _check_query(
+    g: SCG, q: MicroQuery, index: int, max_subset_size: int, classical: _ClassicalCheck, checker: Callable
+) -> tuple[int, int, list[dict], int]:
+    """The sets checked and found sound, the counterexamples in canonical
+    order of their sets, and the padding instabilities of one identifiable
+    query.  With the library's criterion a query whose sets the certificate
+    all passes is counted (``_certified_count``); any other query checks
+    every accepted set and canonical set in turn."""
+    exclude, cores = frozenset(), (EMPTY,)
+    if checker is scg_backdoor_check:
+        n = _certified_count(g, q, max_subset_size, classical.union)
+        if n is not None:
+            return n, n, [], 0
+        # The library's criterion accepts only supersets of a core that
+        # avoid the possible descendants, and a rejected set leaves no trace,
+        # so it is handed only those; any other checker sees all.
+        facts = query_facts(g, q)
+        exclude, cores = facts.d, facts.cores.values()
+    to_check: dict[AdjustmentSet, str] = {}
+    for z in candidate_subsets(g, q, max_subset_size, exclude, cores):
+        if checker(g, q, z).satisfied:
+            to_check.setdefault(z, "criterion")
+    for name, z in canonical_sets(g, q).items():
+        to_check.setdefault(z, name)
+
+    n_sound = unstable = 0
+    failed: list[dict] = []
+    for z, origin in to_check.items():
+        witness, k = classical.witness(z)
+        unstable += k
+        if witness is None:
+            n_sound += 1
+        else:
+            failed.append(
+                {
+                    "graph_index": index,
+                    "gamma": q.gamma,
+                    "origin": origin,
+                    "set": adjustment_set_to_obj(g, z),
+                    "template_lags": {f"{u}->{w}": sorted(ls) for (u, w), ls in witness.lag_entries},
+                    "reason": "criterion-accepted set fails the classical back-door check",
+                }
+            )
+    failed.sort(key=itemgetter("set"))
+    return len(to_check), n_sound, failed, unstable
+
+
 def soundness_experiment(cfg: CorpusConfig, checker: Callable = scg_backdoor_check) -> SoundnessReport:
     """Replicates the algorithmic-validity experiment at the configured scale.
 
@@ -442,18 +526,23 @@ def soundness_experiment(cfg: CorpusConfig, checker: Callable = scg_backdoor_che
     candidate subsets avoid the treatment's possible descendants D and each
     contains one of the query's cores (``query_facts(g, q).cores``): the
     criterion rejects every set that meets D, it accepts through a core item
-    only a superset of that item's core, and through a partition item (A.3,
-    B.2) only a superset of the mandated part when the free part opens no
-    collider (the item's core), because opening colliders only adds to the
-    mandated part.  A rejected set leaves no trace in the report, and the
-    criterion still judges every set it is handed.  Any other checker gets
-    every in-window subset, so that a damaged one (one that, say, loses the
-    possible-descendant guard) is still caught by the classical side.  The
-    subsets are generated one at a time and each goes to ``checker`` once;
-    only the accepted ones are kept, so memory holds the accepted sets,
-    while time grows with the number of subsets handed over: the supersets
-    of the cores in window - D up to ``max_subset_size`` with the library's
-    criterion, the sum over k of C(|window|, k) with another checker.
+    exactly the supersets of that item's core, and through a partition item
+    (A.3, B.2) only a superset of the mandated part when the free part opens
+    no collider (the item's core), because opening colliders only adds to
+    the mandated part.  A rejected set leaves no trace in the report.  The
+    core items' acceptances are inferred from that up-set lemma, not asked
+    of the criterion: ``_certified_count`` counts them by inclusion-exclusion
+    and certifies each core's up-set with one union test per lag-0
+    orientation, so only the partition items' other supersets are judged,
+    and they and the canonical sets outside the family certified, one at a
+    time.  A query where any of these is refused, and every query with any
+    other checker, is checked set by set (``_check_query``): each candidate
+    goes to ``checker`` once and each accepted or canonical set to the
+    classical check.  Any other checker gets every in-window subset, so that
+    a damaged one (one that, say, loses the possible-descendant guard) is
+    still caught by the classical side.  The subsets are generated one at a
+    time and only the accepted ones are kept, so memory holds the accepted
+    sets of one query at most.
     Blocking verdicts are recomputed at a deeper past padding and
     disagreements are counted as instabilities; a gamma-1 verdict that
     reached condition C is recomputed with the component form, and
@@ -504,42 +593,11 @@ def soundness_experiment(cfg: CorpusConfig, checker: Callable = scg_backdoor_che
                         }
                     )
             elif verdict.kind is not VerdictKind.NOT_IDENTIFIABLE:
-                # The library's criterion accepts only supersets of a core
-                # that avoid the possible descendants, and a rejected set
-                # leaves no trace, so it is handed only those; any other
-                # checker sees all.
-                exclude, cores = frozenset(), (EMPTY,)
-                if checker is scg_backdoor_check:
-                    exclude, cores = facts.d, facts.cores.values()
-                to_check: dict[AdjustmentSet, str] = {}
-                for z in candidate_subsets(g, q, cfg.max_subset_size, exclude, cores):
-                    if checker(g, q, z).satisfied:
-                        to_check.setdefault(z, "criterion")
-                for name, z in canonical_sets(g, q).items():
-                    to_check.setdefault(z, name)
-
-                failed: list[dict] = []
-                for z, origin in to_check.items():
-                    n_checked += 1
-                    witness, unstable = classical.witness(z)
-                    padding_instabilities += unstable
-                    if witness is None:
-                        n_sound += 1
-                    else:
-                        failed.append(
-                            {
-                                "graph_index": index,
-                                "gamma": gamma,
-                                "origin": origin,
-                                "set": adjustment_set_to_obj(g, z),
-                                "template_lags": {
-                                    f"{u}->{w}": sorted(ls) for (u, w), ls in witness.lag_entries
-                                },
-                                "reason": "criterion-accepted set fails the classical back-door check",
-                            }
-                        )
-                # A query's counterexamples come in canonical order of their sets.
-                counterexamples.extend(sorted(failed, key=itemgetter("set")))
+                n_checked, n_sound, failed, unstable = _check_query(
+                    g, q, index, cfg.max_subset_size, classical, checker
+                )
+                counterexamples.extend(failed)
+                padding_instabilities += unstable
             rows.append(
                 GraphRow(
                     index, len(g.nodes), len(g.edges), gamma, verdict.kind.value,

@@ -4,7 +4,8 @@ Each one is the plain or exhaustive form of a fact that the library derives
 by a faster route: d-separation by path enumeration or by a walk over sets,
 possible descendants as a union over every compatible template, strongly
 connected components by Tarjan's algorithm, the criterion's reports built
-and rendered afresh on every call, the oracle's candidate sets as one list.  Several are
+and rendered afresh on every call, the oracle's candidate sets as one list,
+the soundness experiment's query checked one set at a time.  Several are
 exponential and meant for small graphs only.  None of them is used by the
 package itself.
 """
@@ -12,10 +13,22 @@ package itself.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable
+from operator import itemgetter
+from typing import Callable, Iterable
 
 from scgadjust.graph import SCG, NodeId, SccPartition, closure, cycle_profile, d_connected
-from scgadjust.identify import EMPTY, AdjustmentSet, CriterionReport, VerdictKind, _check_z_shape, query_facts
+from scgadjust.identify import (
+    EMPTY,
+    AdjustmentSet,
+    CriterionReport,
+    VerdictKind,
+    _check_z_shape,
+    adjustment_set_to_obj,
+    canonical_sets,
+    query_facts,
+    scg_backdoor_check,
+)
+from scgadjust.oracle import candidate_subsets
 from scgadjust.unroll import (
     FTDagTemplate,
     MicroQuery,
@@ -301,3 +314,44 @@ def eager_candidate_subsets(
     for k in range(0, max_subset_size + 1):
         out.extend(map(frozenset, combinations(pool, k)))
     return out
+
+
+def per_set_check_query(
+    g: SCG, q: MicroQuery, index: int, max_subset_size: int, classical, checker: Callable = scg_backdoor_check
+) -> tuple[int, int, list[dict], int]:
+    """``oracle._check_query`` one set at a time: the checker judges every
+    candidate (with the library's criterion, every superset of a core that
+    avoids the possible descendants; with another, every in-window subset),
+    and every accepted set and canonical set goes through
+    ``classical.witness``, whatever the certificate says of whole families.
+    Returns the sets checked and found sound, the counterexamples in
+    canonical order of their sets, and the padding instabilities."""
+    exclude, cores = frozenset(), (EMPTY,)
+    if checker is scg_backdoor_check:
+        facts = query_facts(g, q)
+        exclude, cores = facts.d, facts.cores.values()
+    to_check: dict[AdjustmentSet, str] = {}
+    for z in candidate_subsets(g, q, max_subset_size, exclude, cores):
+        if checker(g, q, z).satisfied:
+            to_check.setdefault(z, "criterion")
+    for name, z in canonical_sets(g, q).items():
+        to_check.setdefault(z, name)
+    n_sound = unstable = 0
+    failed: list[dict] = []
+    for z, origin in to_check.items():
+        witness, k = classical.witness(z)
+        unstable += k
+        if witness is None:
+            n_sound += 1
+            continue
+        failed.append(
+            {
+                "graph_index": index,
+                "gamma": q.gamma,
+                "origin": origin,
+                "set": adjustment_set_to_obj(g, z),
+                "template_lags": {f"{u}->{w}": sorted(ls) for (u, w), ls in witness.lag_entries},
+                "reason": "criterion-accepted set fails the classical back-door check",
+            }
+        )
+    return len(to_check), n_sound, sorted(failed, key=itemgetter("set")), unstable

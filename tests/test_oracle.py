@@ -46,7 +46,7 @@ from scgadjust.unroll import (
 )
 
 from .conftest import query, small_scgs, zset
-from .references import eager_candidate_subsets
+from .references import eager_candidate_subsets, per_set_check_query
 
 GRAPHS_DIR = Path(__file__).resolve().parent.parent / "graphs"
 # The package exports the function ``unroll`` under the module's name.
@@ -179,6 +179,8 @@ class TestCandidateSets:
         assert len(got) == len(set(got)) == len(sets)
         assert set(got) == want
         assert list(sets) == got
+        # Membership agrees with the sets generated, over every subset.
+        assert all((z in sets) == (z in want) for z in eager_candidate_subsets(g, q, bound + 1))
 
 
 @st.composite
@@ -503,9 +505,9 @@ class TestDescendantFreeCandidates:
         assert fast.to_json() == full.to_json()
 
     def test_criterion_sees_only_descendant_free_sets(self, monkeypatch):
-        # The library's criterion is asked once per descendant-free superset
-        # of a core of each identifiable query; another checker once per
-        # subset.
+        # The library's criterion is asked only about the descendant-free
+        # supersets of a partition item's core that hold no core item's
+        # core; another checker once per subset.
         cfg = CorpusConfig(n_graphs=20, seed=7)
         calls = []
         report_of = _QueryFacts.report
@@ -526,15 +528,130 @@ class TestDescendantFreeCandidates:
             if row.verdict in ("CondA", "CondB", "CondC"):
                 g = random_scg(cfg, row.index)
                 q = MicroQuery("X", "Y", row.gamma, cfg.gamma_max)
-                facts = query_facts(g, q)
-                want_fast += len(candidate_subsets(g, q, cfg.max_subset_size, facts.d, facts.cores.values()))
+                want_fast += len(outside_family(g, q, cfg.max_subset_size))
                 want_full += len(candidate_subsets(g, q, cfg.max_subset_size))
         assert not any(clash for clash, _ in fast)
         assert all(holds_core for _, holds_core in fast)
-        # 1,560 descendant-free subsets, of which 504 hold a core.
-        assert len(fast) == want_fast == 504
+        # 1,560 descendant-free subsets, of which 504 hold a core, all of
+        # them a core item's.
+        assert len(fast) == want_fast == 0
         assert len(full) == want_full > want_fast
         assert any(clash for clash, _ in full)
+
+
+def outside_family(g, q, max_subset_size: int) -> list:
+    """The descendant-free supersets of the partition items' cores up to the
+    bound that hold no core item's core: the only candidates the soundness
+    experiment hands the library's criterion."""
+    facts = query_facts(g, q)
+    item_cores, partition_cores = facts.split_cores
+    family = candidate_subsets(g, q, max_subset_size, facts.d, item_cores)
+    return [z for z in candidate_subsets(g, q, max_subset_size, facts.d, partition_cores) if z not in family]
+
+
+class TestFamilyRoute:
+    """With the library's criterion the soundness experiment counts the
+    family of the core items' up-sets by arithmetic and certifies it with one
+    test per core and orientation; the partition items' other sets and the
+    canonical sets outside it go one at a time, and a query with any
+    refusal is checked set by set.  The report is the one the per-set loop
+    (``references.per_set_check_query``) gives."""
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            CorpusConfig(n_graphs=200, seed=7),
+            CorpusConfig(n_graphs=200, seed=11),
+            CorpusConfig(n_graphs=200, seed=7, gamma_max=2),
+        ],
+        ids=["seed7", "seed11", "seed7-gamma-max2"],
+    )
+    def test_same_report_as_per_set_loop(self, monkeypatch, cfg):
+        fast = soundness_experiment(cfg)
+        monkeypatch.setattr(oracle, "_check_query", per_set_check_query)
+        assert fast.to_json() == soundness_experiment(cfg).to_json()
+
+    @given(
+        small_scgs(),
+        st.integers(min_value=0, max_value=1),
+        st.integers(min_value=1, max_value=2),
+        st.integers(min_value=0, max_value=4),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_same_query_outcome_as_per_set_loop(self, g, gamma, gamma_max, bound):
+        # The treatment gets an edge into the outcome, so most queries are
+        # identifiable.
+        x, y = g.nodes[:2]
+        g = validate_scg(g.nodes, g.edges | {(x, y)})
+        q = MicroQuery(x, y, gamma, gamma_max)
+        templates = oracle.GraphTemplates(g, gamma_max, 50)
+        if templates.over_cap or query_facts(g, q).verdict.kind not in (
+            VerdictKind.COND_A, VerdictKind.COND_B, VerdictKind.COND_C
+        ):
+            return
+        classical = oracle._ClassicalCheck(templates, q)
+        assert oracle._check_query(g, q, 0, bound, classical, scg_backdoor_check) == per_set_check_query(
+            g, q, 0, bound, classical
+        )
+
+    @given(
+        small_scgs(),
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=1, max_value=2),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_certified_up_set_certifies_each_set(self, g, gamma, gamma_max, data):
+        q = MicroQuery(g.nodes[0], g.nodes[1], gamma, gamma_max)
+        facts = query_facts(g, q)
+        if facts.verdict.kind not in (VerdictKind.COND_A, VerdictKind.COND_B, VerdictKind.COND_C):
+            return
+        pool = frozenset(instantiate(g.nodes, q.window_floor, 0)) - facts.d
+        cores = [core for core in facts.cores.values() if core <= pool]
+        if not cores:
+            return
+        core = data.draw(st.sampled_from(cores))
+        tester = UnionTester(g, q)
+        if not tester.certify_up_set(core, pool):
+            return
+        assert tester.certify(core) and tester.certify(pool)
+        z = core | data.draw(st.frozensets(st.sampled_from(sort_temporal(g, pool))))
+        assert tester.certify(z)
+
+    def test_per_set_work_outside_the_family_only(self, monkeypatch, small_report):
+        # Only the partition items' other candidates reach the criterion,
+        # and only those it accepts and the canonical sets outside the family
+        # reach the certificate one at a time.
+        judged, certified = [], []
+        report_of = _QueryFacts.report
+
+        def recording(self, z):
+            judged.append((self.g, self.q, z))
+            return report_of(self, z)
+
+        class RecordingUnion(UnionTester):
+            def __init__(self, g, q):
+                super().__init__(g, q)
+                self.g = g
+
+            def certify(self, z):
+                certified.append((self.g, self.q, z))
+                return super().certify(z)
+
+        monkeypatch.setattr(_QueryFacts, "report", recording)
+        monkeypatch.setattr(oracle, "UnionTester", RecordingUnion)
+        report = soundness_experiment(CorpusConfig(n_graphs=40, seed=7))
+        assert report.to_json() == small_report.to_json()
+        for g, q, z in judged:
+            assert z in outside_family(g, q, 5)
+        for g, q, z in certified:
+            assert z in outside_family(g, q, 5) or z in canonical_sets(g, q).values()
+            facts = query_facts(g, q)
+            assert z not in candidate_subsets(g, q, 5, facts.d, facts.split_cores[0])
+        # 3 criterion calls and 27 certificate calls for 3,374 checked sets.
+        assert len(judged) == 3
+        assert len(certified) == 27
+        assert report.sets_checked == 3374
 
 
 class TestUnionCertificate:
@@ -698,6 +815,10 @@ class TestPinnedValidateBytes:
         class FloorBlindUnion(UnionTester):
             def certify(self, z):
                 return not any(tv.offset == self.q.window_floor for tv in z) and super().certify(z)
+
+            def certify_up_set(self, core, pool):
+                floor = self.q.window_floor
+                return not any(tv.offset == floor for tv in pool) and super().certify_up_set(core, pool)
 
         monkeypatch.setattr(oracle, "BackdoorTester", FloorBlindPadding)
         monkeypatch.setattr(oracle, "UnionTester", FloorBlindUnion)
