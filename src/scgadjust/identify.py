@@ -567,6 +567,15 @@ class _PrunedUnrolling:
     child masks; its descendant mask keeps them.  ``check`` then costs one
     descendant-mask test plus one run of the shared Bayes-ball
     ``graph.d_connected``.
+
+    The masks are built by shifting, not by a walk over edges, lags and
+    slices.  Each series w gets a parent pattern, bit ``base + u - lag * n``
+    for each edge u -> w and lag (``base`` being the largest lag times n,
+    the node count), and each series u a child pattern, bit
+    ``w + lag * n``.  The masks of series w at slice k are then its
+    patterns shifted by ``k * n``, the parent one less ``base`` and the
+    child one cut to the window: the shifts drop exactly the edges that
+    leave it.
     """
 
     def __init__(self, g: SCG, q: MicroQuery, extra_padding: int, lag_entries: Iterable):
@@ -577,21 +586,22 @@ class _PrunedUnrolling:
         slices = hi - lo + 1
         self._x = x = self.mask([q.treatment_var])
         self._y = self.mask([q.outcome_var])
-        xi = x.bit_length() - 1
-        self._parents = parents = [0] * (n * slices)
-        self._children = children = [0] * (n * slices)
-        x_children = 0
-        for (u, w), ls in lag_entries:
-            iu, iw = index[u], index[w]
+        entries = [(index[u], index[w], ls) for (u, w), ls in lag_entries]
+        base = n * max((lag for *_, ls in entries for lag in ls), default=0)
+        up, down = [0] * n, [0] * n
+        for iu, iw, ls in entries:
             for lag in ls:
-                for k in range(slices - lag):
-                    src, dst = k * n + iu, (k + lag) * n + iw
-                    if src == xi:
-                        # Pruned for the d-separation test, kept for descendants.
-                        x_children |= 1 << dst
-                    else:
-                        parents[dst] |= 1 << src
-                        children[src] |= 1 << dst
+                up[iw] |= 1 << (base + iu - lag * n)
+                down[iu] |= 1 << (iw + lag * n)
+        window = (1 << n * slices) - 1
+        shifts = range(0, n * slices, n)
+        # The treatment's outgoing edges are pruned for the d-separation
+        # test, kept for descendants.
+        keep = ~x
+        self._parents = [((p << s) >> base) & keep for s in shifts for p in up]
+        self._children = children = [(c << s) & window for s in shifts for c in down]
+        xi = x.bit_length() - 1
+        x_children, children[xi] = children[xi], 0
         self._de_x = x | mask_closure(children, x_children)
 
     def mask(self, z: Iterable[TemporalVar]) -> int:
@@ -621,6 +631,14 @@ class BackdoorTester(_PrunedUnrolling):
 
     def __init__(self, tmpl: FTDagTemplate, q: MicroQuery, extra_padding: int = 0):
         super().__init__(tmpl.scg, q, extra_padding, tmpl.lag_entries)
+
+
+def union_lag_entries(g: SCG, gamma_max: int) -> dict[tuple[str, str], range]:
+    """The lags of the union of every compatible template: 0..gamma_max on
+    every non-self edge and 1..gamma_max on every self-loop, as in
+    ``unroll.possible_descendants``."""
+    lags = range(gamma_max + 1)
+    return {(u, w): lags[1:] if u == w else lags for (u, w) in g.edge_list}
 
 
 class _UnionUnrolling(_PrunedUnrolling):
@@ -696,9 +714,9 @@ class UnionTester:
     """A certificate that a set passes the classical back-door check in every
     compatible template, at every extra padding up to ``gamma_max + 1``.
 
-    It unrolls one union template over the window at that padding: every
-    non-self edge carries every lag 0..gamma_max and every self-loop every
-    lag 1..gamma_max, as in ``unroll.possible_descendants``.  The unrolling
+    It unrolls one union template over the window at that padding
+    (``union_lag_entries``): every non-self edge carries every lag
+    0..gamma_max and every self-loop every lag 1..gamma_max.  The unrolling
     may hold directed cycles.  It is sound because every compatible
     template's unrolling is a subgraph of the union's, and a shallower
     padding's unrolling a subgraph of a deeper one: descendants only grow
@@ -717,11 +735,11 @@ class UnionTester:
 
     def __init__(self, g: SCG, q: MicroQuery):
         self.q = q
-        lags = range(q.gamma_max + 1)
-        entries = {(u, w): lags[1:] if u == w else lags for (u, w) in g.edge_list}
+        entries = union_lag_entries(g, q.gamma_max)
         xy, yx = (q.treatment, q.outcome), (q.outcome, q.treatment)
         if xy in entries and yx in entries:
-            orientations = [{**entries, yx: lags[1:]}, {**entries, xy: lags[1:]}]
+            lagged = range(1, q.gamma_max + 1)
+            orientations = [{**entries, yx: lagged}, {**entries, xy: lagged}]
         else:
             orientations = [entries]
         self._unrollings = [_UnionUnrolling(g, q, e.items()) for e in orientations]

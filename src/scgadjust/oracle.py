@@ -40,7 +40,9 @@ one walk.  A query with a refused set or family is checked set by set, and
 only a set the certificate refuses reaches the templates: it goes through
 the ordered list at both paddings, so its witness template and padding
 instabilities are the ones the full loop finds.  In the corpora run so far
-only invalid sets are refused.
+only invalid sets are refused.  A NonAncestor query is checked by a walk
+from the treatment over the slices [-gamma, 0] of the union, unsplit; only
+when it reaches the outcome do the templates decide.
 
 ``valid`` (``probe``, ``common_backdoor_valid``) decides validity in the
 undominated densest templates.  Every compatible template lies
@@ -74,6 +76,7 @@ from .identify import (
     canonical_sets,
     query_facts,
     scg_backdoor_check,
+    union_lag_entries,
 )
 from .unroll import (
     MAX_HORIZON,
@@ -173,7 +176,9 @@ def random_scg(cfg: CorpusConfig, index: int) -> SCG:
 
 class GraphTemplates:
     """The oracle's templates of one (graph, gamma_max), each computed on
-    first use: a graph that is over the cap or not identifiable builds none."""
+    first use: a graph that is over the cap or not identifiable builds none,
+    and neither does a NonAncestor query unless the union unrolling makes
+    the treatment an ancestor of the outcome (``_ClassicalCheck.makes_ancestor``)."""
 
     def __init__(self, g: SCG, gamma_max: int, cap: int):
         if gamma_max < 1:
@@ -219,16 +224,17 @@ class GraphTemplates:
         return enumerate_compatible_templates(self.g, self.gamma_max, self.cap)
 
 
-def _reaches_outcome(tmpl: FTDagTemplate, q: MicroQuery) -> bool:
+def _reaches_outcome(g: SCG, lag_entries: Iterable, q: MicroQuery) -> bool:
     """Whether the treatment variable is an ancestor of the outcome variable
-    in the unrolling of ``tmpl``.  No edge points back in time, so every
-    path between them stays within the slices [-gamma, 0]: a walk over int
-    masks of those slices alone, bit ``(offset + gamma) * |nodes| + series
-    index``, answers for every padding."""
-    index, n = tmpl.scg._index, len(tmpl.scg.nodes)
+    in the unrolling of ``g`` with lag entries ``((u, w), lags)``.  No edge
+    points back in time, so every path between them stays within the slices
+    [-gamma, 0]: a walk over int masks of those slices alone, bit
+    ``(offset + gamma) * |nodes| + series index``, answers for every
+    padding."""
+    index, n = g._index, len(g.nodes)
     slices = q.gamma + 1
     children = [0] * (n * slices)
-    for (u, w), ls in tmpl.lag_entries:
+    for (u, w), ls in lag_entries:
         iu, iw = index[u], index[w]
         for lag in ls:
             for k in range(slices - lag):
@@ -263,9 +269,19 @@ class _ClassicalCheck:
 
     def makes_ancestor(self) -> bool:
         """Whether the treatment is an ancestor of the outcome in some
-        compatible template; a template inherits the descendants of every
-        template it contains, so the undominated ones decide this."""
-        return any(_reaches_outcome(t, self.q) for t in self.templates.undominated)
+        compatible template.
+
+        The walk first runs in the union of every compatible template
+        (``identify.union_lag_entries``): every template's unrolling is a
+        subgraph of the union's, so when the union does not reach the
+        outcome no template does, and none is built.  Only a reach goes to
+        the templates, where a template inherits the descendants of every
+        template it contains, so the undominated ones decide, and a
+        contradicted verdict is shown by one of them."""
+        g, q = self.templates.g, self.q
+        if not _reaches_outcome(g, union_lag_entries(g, q.gamma_max).items(), q):
+            return False
+        return any(_reaches_outcome(g, t.lag_entries, q) for t in self.templates.undominated)
 
     def valid(self, z: AdjustmentSet) -> bool:
         """Whether ``z`` is valid in every compatible template."""

@@ -2,7 +2,8 @@
 
 Each one is the plain or exhaustive form of a fact that the library derives
 by a faster route: d-separation by path enumeration or by a walk over sets,
-possible descendants as a union over every compatible template, strongly
+possible descendants as a union over every compatible template, the
+unrolling masks by a walk over edges, lags and slices, strongly
 connected components by Tarjan's algorithm, the criterion's reports built
 and rendered afresh on every call, the oracle's candidate sets as one list,
 the soundness experiment's query checked one set at a time.  Several are
@@ -16,7 +17,7 @@ from itertools import combinations
 from operator import itemgetter
 from typing import Callable, Iterable
 
-from scgadjust.graph import SCG, NodeId, SccPartition, closure, cycle_profile, d_connected
+from scgadjust.graph import SCG, NodeId, SccPartition, closure, cycle_profile, d_connected, mask_closure
 from scgadjust.identify import (
     EMPTY,
     AdjustmentSet,
@@ -36,6 +37,7 @@ from scgadjust.unroll import (
     UnrolledGraph,
     enumerate_compatible_templates,
     instantiate,
+    padded_window,
     sort_temporal,
     unroll,
 )
@@ -82,6 +84,35 @@ def d_separated(
     parents = [mask(u.parents[v]) for v in u.nodes]
     children = [mask(u.children[v]) for v in u.nodes]
     return not d_connected(parents, children, mask(a), mask(b), mask(z))
+
+
+def pruned_unrolling_masks(
+    g: SCG, q: MicroQuery, extra_padding: int, lag_entries: Iterable
+) -> tuple[list[int], list[int], int, int, int]:
+    """The int masks of ``identify._PrunedUnrolling`` built by one walk over
+    edges, lags and slices: the parent and child masks without the
+    treatment's outgoing edges, the treatment's descendant mask with them,
+    and the treatment's and outcome's bits, in its bit layout."""
+    lo, hi = padded_window(g, q, extra_padding)
+    index, n = g._index, len(g.nodes)
+    slices = hi - lo + 1
+    xi = (q.treatment_var.offset - lo) * n + index[q.treatment]
+    yi = (q.outcome_var.offset - lo) * n + index[q.outcome]
+    parents = [0] * (n * slices)
+    children = [0] * (n * slices)
+    x_children = 0
+    for (u, w), ls in lag_entries:
+        iu, iw = index[u], index[w]
+        for lag in ls:
+            for k in range(slices - lag):
+                src, dst = k * n + iu, (k + lag) * n + iw
+                if src == xi:
+                    x_children |= 1 << dst
+                else:
+                    parents[dst] |= 1 << src
+                    children[src] |= 1 << dst
+    de_x = (1 << xi) | mask_closure(children, x_children)
+    return parents, children, de_x, 1 << xi, 1 << yi
 
 
 def d_separated_bruteforce(

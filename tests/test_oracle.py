@@ -3,6 +3,7 @@ import hashlib
 import importlib
 import json
 import math
+import sys
 import tracemalloc
 from collections import Counter
 from itertools import combinations
@@ -18,12 +19,14 @@ from scgadjust.identify import (
     BackdoorTester,
     CriterionReport,
     UnionTester,
+    Verdict,
     _QueryFacts,
     adjustment_set_to_obj,
     canonical_sets,
     classical_backdoor_check,
     query_facts,
     scg_backdoor_check,
+    union_lag_entries,
 )
 from scgadjust.oracle import (
     CorpusConfig,
@@ -46,7 +49,7 @@ from scgadjust.unroll import (
 )
 
 from .conftest import query, small_scgs, zset
-from .references import eager_candidate_subsets, per_set_check_query
+from .references import eager_candidate_subsets, per_set_check_query, pruned_unrolling_masks
 
 GRAPHS_DIR = Path(__file__).resolve().parent.parent / "graphs"
 # The package exports the function ``unroll`` under the module's name.
@@ -197,8 +200,9 @@ def compatible_templates(draw, g, gamma_max: int):
 
 class TestAncestorCheck:
     """The non-ancestor verdict's classical counterpart walks the slices
-    [-gamma, 0] of each template; it must agree with a padded tester's
-    descendant mask."""
+    [-gamma, 0], first in the union of every compatible template and, on a
+    reach only, in each undominated template; it must agree with a padded
+    tester's descendant mask."""
 
     @given(
         small_scgs(max_nodes=4),
@@ -216,7 +220,26 @@ class TestAncestorCheck:
         for t in templates:
             want = BackdoorTester(t, q).descendant_clash(y)
             assert BackdoorTester(t, q, gamma_max + 1).descendant_clash(y) == want
-            assert oracle._reaches_outcome(t, q) == want
+            assert oracle._reaches_outcome(t.scg, t.lag_entries, q) == want
+
+    @given(
+        small_scgs(max_nodes=4),
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=1, max_value=2),
+    )
+    @settings(max_examples=80)
+    def test_union_walk_reaches_iff_some_template_does(self, g, gamma, gamma_max):
+        # The union lemma of ``unroll.possible_descendants`` on the slices
+        # [-gamma, 0]: a path in the union is a path in some compatible
+        # template, and every template's path is one in the union.
+        if count_compatible_templates(g, gamma_max, 300) > 300:
+            return
+        q = MicroQuery(g.nodes[0], g.nodes[1], gamma, gamma_max)
+        union = oracle._reaches_outcome(g, union_lag_entries(g, gamma_max).items(), q)
+        some = any(
+            oracle._reaches_outcome(g, t.lag_entries, q) for t in enumerate_compatible_templates(g, gamma_max, 300)
+        )
+        assert union == some
 
     @given(
         small_scgs(max_nodes=4),
@@ -233,6 +256,22 @@ class TestAncestorCheck:
         every = any(BackdoorTester(t, q).descendant_clash(y) for t in templates)
         check = oracle._ClassicalCheck(oracle.GraphTemplates(g, gamma_max, 10_000), q)
         assert check.makes_ancestor() == every
+
+    def test_contradicted_verdicts_shown_by_templates(self, monkeypatch):
+        # Every query classified NonAncestor: the ones whose treatment is an
+        # ancestor in some template are reached in the union and go to the
+        # templates, which must report them as before the union walk.
+        monkeypatch.setattr(identify_module, "_classify", lambda g, q: Verdict(VerdictKind.NON_ANCESTOR))
+        query_facts.cache_clear()
+        try:
+            report = soundness_experiment(CorpusConfig(n_graphs=40, seed=7))
+        finally:
+            query_facts.cache_clear()
+        assert len(report.counterexamples) == 36
+        assert report.sets_checked == 68
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
+            "4b1ce82fa987f26b4b1e38a03892ec94216f91cd76beaf4ac604ad05911b1446"
+        )
 
 
 def no_descendant_guard(g, q, z) -> CriterionReport:
@@ -770,6 +809,112 @@ class TestUnionCertificate:
         assert set(checked) == {
             (c["gamma"], frozenset(TemporalVar(*tv) for tv in c["set"])) for c in report.counterexamples
         }
+
+
+class TestShiftedMasks:
+    """``identify._PrunedUnrolling`` builds its masks by shifting one parent
+    and one child pattern per series; they must equal the per-slice walk of
+    ``references.pruned_unrolling_masks``, for a template's tester and for
+    each lag-0 orientation of the union certificate, at both paddings."""
+
+    @staticmethod
+    def assert_matches(u, g, q, pad, entries):
+        assert (u._parents, u._children, u._de_x, u._x, u._y) == pruned_unrolling_masks(g, q, pad, entries)
+
+    @given(
+        small_scgs(max_nodes=4),
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=1, max_value=3),
+        st.booleans(),
+        st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_slice_walk(self, g, gamma, gamma_max, two_cycle, data):
+        x, y = g.nodes[:2]
+        if two_cycle:
+            g = validate_scg(g.nodes, g.edges | {(x, y), (y, x)})
+        q = MicroQuery(x, y, gamma, gamma_max)
+        templates = [data.draw(compatible_templates(g, gamma_max)) for _ in range(3)]
+        if count_compatible_templates(g, gamma_max, 50) <= 50:
+            templates += enumerate_compatible_templates(g, gamma_max, 50)
+        entries = union_lag_entries(g, gamma_max)
+        orientations = [entries]
+        if (x, y) in entries and (y, x) in entries:
+            lagged = range(1, gamma_max + 1)
+            orientations = [{**entries, (y, x): lagged}, {**entries, (x, y): lagged}]
+        union = UnionTester(g, q)
+        assert len(union._unrollings) == len(orientations)
+        for u, e in zip(union._unrollings, orientations):
+            self.assert_matches(u, g, q, gamma_max + 1, e.items())
+        for pad in (0, gamma_max + 1):
+            for t in templates:
+                self.assert_matches(BackdoorTester(t, q, pad), g, q, pad, t.lag_entries)
+            for e in orientations:
+                self.assert_matches(identify_module._PrunedUnrolling(g, q, pad, e.items()), g, q, pad, e.items())
+
+    def test_template_with_larger_gamma_max(self, persistence_chain):
+        # A template's lags may exceed the query's gamma_max; the patterns'
+        # base follows the largest lag, not the query.
+        tmpl = make_template(persistence_chain, 3, {e: range(1, 4) for e in persistence_chain.edge_list})
+        q = query(gamma=1)
+        for pad in (0, 2):
+            self.assert_matches(BackdoorTester(tmpl, q, pad), persistence_chain, q, pad, tmpl.lag_entries)
+
+
+class TestSoundCorpusBuildsNoTemplate:
+    """On a sound corpus no template is built: the certificate decides every
+    checked set and the union walk every NonAncestor query.  Only a graph
+    with a counterexample lists its templates, to report the witness."""
+
+    BUILDERS = ("densest_templates", "iter_compatible_templates", "make_template")
+
+    @classmethod
+    def patch_builders(cls, monkeypatch, replace):
+        """Replace each template builder in every ``scgadjust`` module by
+        ``replace(original)``."""
+        for name, mod in list(sys.modules.items()):
+            if name == "scgadjust" or name.startswith("scgadjust."):
+                for attr in cls.BUILDERS:
+                    if hasattr(mod, attr):
+                        monkeypatch.setattr(mod, attr, replace(getattr(mod, attr)))
+
+    @pytest.mark.parametrize(
+        "gamma_max, digest",
+        [
+            (1, "5faeffc341b330a62ffedfdb0a216a71c233f70e6f7519328de5a788d465c475"),
+            (2, "ae4fbf76719d7e28760f03a6be55936ee45d713fe2c396ecd2236bcfb930cfb5"),
+        ],
+    )
+    def test_sound_corpus(self, monkeypatch, gamma_max, digest):
+        def forbidden(original):
+            def build(*args, **kwargs):
+                raise AssertionError("the oracle built a template on a sound corpus")
+
+            return build
+
+        self.patch_builders(monkeypatch, forbidden)
+        report = soundness_experiment(CorpusConfig(n_graphs=200, seed=7, gamma_max=gamma_max))
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+
+    def test_counterexample_graphs_only(self, monkeypatch):
+        built = []
+
+        def recording(original):
+            def build(g, *args, **kwargs):
+                built.append(g)
+                return original(g, *args, **kwargs)
+
+            return build
+
+        self.patch_builders(monkeypatch, recording)
+        cfg = CorpusConfig(n_graphs=200, seed=11)
+        report = soundness_experiment(cfg)
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
+            "f81873a584c0e15cd79048a3d721b43eb5dd6d337427a99545c0ed368c5ca29a"
+        )
+        failing = {c["graph_index"] for c in report.counterexamples}
+        assert failing == {39, 157}
+        assert set(built) == {random_scg(cfg, i) for i in failing}
 
 
 class TestPinnedValidateBytes:
