@@ -558,6 +558,22 @@ def ftdag_opt(tmpl: FTDagTemplate, q: MicroQuery) -> AdjustmentSet:
     return frozenset(parents) - de_x
 
 
+def child_masks(g: SCG, lag_entries: Iterable, slices: int) -> list[int]:
+    """Child masks of the unrolling of ``g`` with lag entries ``((u, w),
+    lags)`` over ``slices`` slices, bit ``k * |nodes| + series index`` for a
+    series at the k-th slice.  Each series u gets one child pattern, bit
+    ``w + lag * n`` for each edge u -> w and lag (n being the node count);
+    its mask at slice k is the pattern shifted by ``k * n`` and cut to the
+    slices, which drops exactly the edges that leave them."""
+    index, n = g._index, len(g.nodes)
+    down = [0] * n
+    for (u, w), ls in lag_entries:
+        for lag in ls:
+            down[index[u]] |= 1 << (index[w] + lag * n)
+    window = (1 << n * slices) - 1
+    return [(c << s) & window for s in range(0, n * slices, n) for c in down]
+
+
 class _PrunedUnrolling:
     """Int masks of one unrolling over a padded window, built straight from
     lag entries ``((u, w), lags)`` without an ``UnrolledGraph``: bit
@@ -571,11 +587,9 @@ class _PrunedUnrolling:
     The masks are built by shifting, not by a walk over edges, lags and
     slices.  Each series w gets a parent pattern, bit ``base + u - lag * n``
     for each edge u -> w and lag (``base`` being the largest lag times n,
-    the node count), and each series u a child pattern, bit
-    ``w + lag * n``.  The masks of series w at slice k are then its
-    patterns shifted by ``k * n``, the parent one less ``base`` and the
-    child one cut to the window: the shifts drop exactly the edges that
-    leave it.
+    the node count); its parent mask at slice k is the pattern shifted by
+    ``k * n``, less ``base``, so the shift drops exactly the edges that
+    enter from before the window.  The child masks are ``child_masks``.
     """
 
     def __init__(self, g: SCG, q: MicroQuery, extra_padding: int, lag_entries: Iterable):
@@ -586,20 +600,17 @@ class _PrunedUnrolling:
         slices = hi - lo + 1
         self._x = x = self.mask([q.treatment_var])
         self._y = self.mask([q.outcome_var])
-        entries = [(index[u], index[w], ls) for (u, w), ls in lag_entries]
-        base = n * max((lag for *_, ls in entries for lag in ls), default=0)
-        up, down = [0] * n, [0] * n
-        for iu, iw, ls in entries:
+        lag_entries = tuple(lag_entries)
+        base = n * max((lag for _, ls in lag_entries for lag in ls), default=0)
+        up = [0] * n
+        for (u, w), ls in lag_entries:
             for lag in ls:
-                up[iw] |= 1 << (base + iu - lag * n)
-                down[iu] |= 1 << (iw + lag * n)
-        window = (1 << n * slices) - 1
-        shifts = range(0, n * slices, n)
+                up[index[w]] |= 1 << (base + index[u] - lag * n)
         # The treatment's outgoing edges are pruned for the d-separation
         # test, kept for descendants.
         keep = ~x
-        self._parents = [((p << s) >> base) & keep for s in shifts for p in up]
-        self._children = children = [(c << s) & window for s in shifts for c in down]
+        self._parents = [((p << s) >> base) & keep for s in range(0, n * slices, n) for p in up]
+        self._children = children = child_masks(g, lag_entries, slices)
         xi = x.bit_length() - 1
         x_children, children[xi] = children[xi], 0
         self._de_x = x | mask_closure(children, x_children)

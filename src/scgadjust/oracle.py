@@ -40,9 +40,9 @@ one walk.  A query with a refused set or family is checked set by set, and
 only a set the certificate refuses reaches the templates: it goes through
 the ordered list at both paddings, so its witness template and padding
 instabilities are the ones the full loop finds.  In the corpora run so far
-only invalid sets are refused.  A NonAncestor query is checked by a walk
-from the treatment over the slices [-gamma, 0] of the union, unsplit; only
-when it reaches the outcome do the templates decide.
+only invalid sets are refused.  A NonAncestor query is checked by one walk
+from the treatment over the slices [-gamma, 0] of the union, unsplit, and
+builds no template.
 
 ``valid`` (``probe``, ``common_backdoor_valid``) decides validity in the
 undominated densest templates.  Every compatible template lies
@@ -74,6 +74,7 @@ from .identify import (
     VerdictKind,
     adjustment_set_to_obj,
     canonical_sets,
+    child_masks,
     query_facts,
     scg_backdoor_check,
     union_lag_entries,
@@ -177,8 +178,8 @@ def random_scg(cfg: CorpusConfig, index: int) -> SCG:
 class GraphTemplates:
     """The oracle's templates of one (graph, gamma_max), each computed on
     first use: a graph that is over the cap or not identifiable builds none,
-    and neither does a NonAncestor query unless the union unrolling makes
-    the treatment an ancestor of the outcome (``_ClassicalCheck.makes_ancestor``)."""
+    and neither does a NonAncestor query (``_ClassicalCheck.makes_ancestor``
+    walks the union)."""
 
     def __init__(self, g: SCG, gamma_max: int, cap: int):
         if gamma_max < 1:
@@ -228,18 +229,11 @@ def _reaches_outcome(g: SCG, lag_entries: Iterable, q: MicroQuery) -> bool:
     """Whether the treatment variable is an ancestor of the outcome variable
     in the unrolling of ``g`` with lag entries ``((u, w), lags)``.  No edge
     points back in time, so every path between them stays within the slices
-    [-gamma, 0]: a walk over int masks of those slices alone, bit
-    ``(offset + gamma) * |nodes| + series index``, answers for every
+    [-gamma, 0]: a walk over their child masks alone (``child_masks``, bit
+    ``(offset + gamma) * |nodes| + series index``) answers for every
     padding."""
     index, n = g._index, len(g.nodes)
-    slices = q.gamma + 1
-    children = [0] * (n * slices)
-    for (u, w), ls in lag_entries:
-        iu, iw = index[u], index[w]
-        for lag in ls:
-            for k in range(slices - lag):
-                children[k * n + iu] |= 1 << ((k + lag) * n + iw)
-    reached = mask_closure(children, 1 << index[q.treatment])
+    reached = mask_closure(child_masks(g, lag_entries, q.gamma + 1), 1 << index[q.treatment])
     return bool(reached >> (q.gamma * n + index[q.outcome]) & 1)
 
 
@@ -269,19 +263,15 @@ class _ClassicalCheck:
 
     def makes_ancestor(self) -> bool:
         """Whether the treatment is an ancestor of the outcome in some
-        compatible template.
-
-        The walk first runs in the union of every compatible template
-        (``identify.union_lag_entries``): every template's unrolling is a
-        subgraph of the union's, so when the union does not reach the
-        outcome no template does, and none is built.  Only a reach goes to
-        the templates, where a template inherits the descendants of every
-        template it contains, so the undominated ones decide, and a
-        contradicted verdict is shown by one of them."""
+        compatible template, decided by one walk in the union of every
+        compatible template (``identify.union_lag_entries``), so no template
+        is built.  Every template's unrolling is a subgraph of the union's,
+        and by the union lemma of ``unroll.possible_descendants`` every
+        union path from ``X@-gamma`` to ``Y@0`` lies in some densest
+        template, so the union reaches the outcome exactly when some
+        template does."""
         g, q = self.templates.g, self.q
-        if not _reaches_outcome(g, union_lag_entries(g, q.gamma_max).items(), q):
-            return False
-        return any(_reaches_outcome(g, t.lag_entries, q) for t in self.templates.undominated)
+        return _reaches_outcome(g, union_lag_entries(g, q.gamma_max).items(), q)
 
     def valid(self, z: AdjustmentSet) -> bool:
         """Whether ``z`` is valid in every compatible template."""

@@ -199,10 +199,10 @@ def compatible_templates(draw, g, gamma_max: int):
 
 
 class TestAncestorCheck:
-    """The non-ancestor verdict's classical counterpart walks the slices
-    [-gamma, 0], first in the union of every compatible template and, on a
-    reach only, in each undominated template; it must agree with a padded
-    tester's descendant mask."""
+    """The non-ancestor verdict's classical counterpart is one walk over the
+    slices [-gamma, 0] of the union of every compatible template.  The same
+    walk in one template must agree with a padded tester's descendant mask,
+    and in the union with "some template reaches"."""
 
     @given(
         small_scgs(max_nodes=4),
@@ -255,12 +255,14 @@ class TestAncestorCheck:
         templates = enumerate_compatible_templates(g, gamma_max, 300)
         every = any(BackdoorTester(t, q).descendant_clash(y) for t in templates)
         check = oracle._ClassicalCheck(oracle.GraphTemplates(g, gamma_max, 10_000), q)
+        undominated = check.templates.undominated
+        assert any(oracle._reaches_outcome(g, t.lag_entries, q) for t in undominated) == every
         assert check.makes_ancestor() == every
 
-    def test_contradicted_verdicts_shown_by_templates(self, monkeypatch):
-        # Every query classified NonAncestor: the ones whose treatment is an
-        # ancestor in some template are reached in the union and go to the
-        # templates, which must report them as before the union walk.
+    def test_forced_non_ancestor_corpus(self, monkeypatch):
+        # Every query classified NonAncestor: the union walk must contradict
+        # exactly the ones whose treatment is an ancestor in some template,
+        # as the per-template walk did before it.
         monkeypatch.setattr(identify_module, "_classify", lambda g, q: Verdict(VerdictKind.NON_ANCESTOR))
         query_facts.cache_clear()
         try:
