@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 effect not identifiable, 3 candidate set rejected,
-4 input error, 5 template cap exceeded; the soundness command exits 1 when
-counterexamples are found or a consistency check disagrees.  Given identical
-inputs and seeds every command writes identical bytes.
+4 input error, 5 template cap exceeded or out of memory; the soundness
+command exits 1 when counterexamples are found or a consistency check
+disagrees.  Input errors include a lag past ``unroll.MAX_HORIZON`` and, for
+``unroll``, a window with ``hi - lo`` past it or, with ``--densest``, a
+``gamma_max`` past it, each refused before any template is built.  Given
+identical inputs and seeds every command writes identical bytes.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .oracle import (
     soundness_experiment,
 )
 from .unroll import (
+    MAX_HORIZON,
     MicroQuery,
     QueryError,
     TemplateCapExceeded,
@@ -139,6 +143,12 @@ def cmd_qopt(args) -> int:
 
 def cmd_unroll(args) -> int:
     g = _load_graph(args.graph)
+    # The unrolling lists every slice of the window, and the densest template
+    # every lag up to gamma_max, so either is bounded as a query's horizon is.
+    if args.hi - args.lo > MAX_HORIZON:
+        raise ValueError(f"hi - lo must be <= {MAX_HORIZON}")
+    if args.densest and args.gamma_max > MAX_HORIZON:
+        raise ValueError(f"gamma_max must be <= {MAX_HORIZON}")
     if args.densest:
         templates = GraphTemplates(g, args.gamma_max, args.template_cap).densest
     else:
@@ -312,6 +322,9 @@ def run(argv: list[str] | None = None) -> int:
         return args.func(args)
     except TemplateCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_OVER_CAP
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_OVER_CAP
     except NotIdentifiableError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -558,22 +558,6 @@ def ftdag_opt(tmpl: FTDagTemplate, q: MicroQuery) -> AdjustmentSet:
     return frozenset(parents) - de_x
 
 
-def child_masks(g: SCG, lag_entries: Iterable, slices: int) -> list[int]:
-    """Child masks of the unrolling of ``g`` with lag entries ``((u, w),
-    lags)`` over ``slices`` slices, bit ``k * |nodes| + series index`` for a
-    series at the k-th slice.  Each series u gets one child pattern, bit
-    ``w + lag * n`` for each edge u -> w and lag (n being the node count);
-    its mask at slice k is the pattern shifted by ``k * n`` and cut to the
-    slices, which drops exactly the edges that leave them."""
-    index, n = g._index, len(g.nodes)
-    down = [0] * n
-    for (u, w), ls in lag_entries:
-        for lag in ls:
-            down[index[u]] |= 1 << (index[w] + lag * n)
-    window = (1 << n * slices) - 1
-    return [(c << s) & window for s in range(0, n * slices, n) for c in down]
-
-
 class _PrunedUnrolling:
     """Int masks of one unrolling over a padded window, built straight from
     lag entries ``((u, w), lags)`` without an ``UnrolledGraph``: bit
@@ -589,7 +573,10 @@ class _PrunedUnrolling:
     for each edge u -> w and lag (``base`` being the largest lag times n,
     the node count); its parent mask at slice k is the pattern shifted by
     ``k * n``, less ``base``, so the shift drops exactly the edges that
-    enter from before the window.  The child masks are ``child_masks``.
+    enter from before the window.  Each series u gets a child pattern, bit
+    ``w + lag * n`` for each edge u -> w and lag; its child mask at slice k
+    is the pattern shifted by ``k * n`` and cut to the window, which drops
+    exactly the edges that leave it.
     """
 
     def __init__(self, g: SCG, q: MicroQuery, extra_padding: int, lag_entries: Iterable):
@@ -602,15 +589,16 @@ class _PrunedUnrolling:
         self._y = self.mask([q.outcome_var])
         lag_entries = tuple(lag_entries)
         base = n * max((lag for _, ls in lag_entries for lag in ls), default=0)
-        up = [0] * n
+        up, down = [0] * n, [0] * n
         for (u, w), ls in lag_entries:
             for lag in ls:
                 up[index[w]] |= 1 << (base + index[u] - lag * n)
+                down[index[u]] |= 1 << (index[w] + lag * n)
         # The treatment's outgoing edges are pruned for the d-separation
         # test, kept for descendants.
-        keep = ~x
+        keep, full = ~x, (1 << n * slices) - 1
         self._parents = [((p << s) >> base) & keep for s in range(0, n * slices, n) for p in up]
-        self._children = children = child_masks(g, lag_entries, slices)
+        self._children = children = [(c << s) & full for s in range(0, n * slices, n) for c in down]
         xi = x.bit_length() - 1
         x_children, children[xi] = children[xi], 0
         self._de_x = x | mask_closure(children, x_children)

@@ -40,9 +40,11 @@ one walk.  A query with a refused set or family is checked set by set, and
 only a set the certificate refuses reaches the templates: it goes through
 the ordered list at both paddings, so its witness template and padding
 instabilities are the ones the full loop finds.  In the corpora run so far
-only invalid sets are refused.  A NonAncestor query is checked by one walk
-from the treatment over the slices [-gamma, 0] of the union, unsplit, and
-builds no template.
+only invalid sets are refused.  A NonAncestor query builds no template: its
+empty set holds when the outcome lies outside the query's possible
+descendants D (``query_facts``), walked in the union of every compatible
+template.  The verdict reads macro ancestry in the graph, not D, so D is
+not checked against itself.
 
 ``valid`` (``probe``, ``common_backdoor_valid``) decides validity in the
 undominated densest templates.  Every compatible template lies
@@ -65,7 +67,7 @@ from math import comb
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
-from .graph import SCG, mask_closure, scc_of, validate_scg
+from .graph import SCG, scc_of, validate_scg
 from .identify import (
     EMPTY,
     AdjustmentSet,
@@ -74,10 +76,8 @@ from .identify import (
     VerdictKind,
     adjustment_set_to_obj,
     canonical_sets,
-    child_masks,
     query_facts,
     scg_backdoor_check,
-    union_lag_entries,
 )
 from .unroll import (
     MAX_HORIZON,
@@ -178,8 +178,8 @@ def random_scg(cfg: CorpusConfig, index: int) -> SCG:
 class GraphTemplates:
     """The oracle's templates of one (graph, gamma_max), each computed on
     first use: a graph that is over the cap or not identifiable builds none,
-    and neither does a NonAncestor query (``_ClassicalCheck.makes_ancestor``
-    walks the union)."""
+    and neither does a NonAncestor query (it reads the query's possible
+    descendants)."""
 
     def __init__(self, g: SCG, gamma_max: int, cap: int):
         if gamma_max < 1:
@@ -225,18 +225,6 @@ class GraphTemplates:
         return enumerate_compatible_templates(self.g, self.gamma_max, self.cap)
 
 
-def _reaches_outcome(g: SCG, lag_entries: Iterable, q: MicroQuery) -> bool:
-    """Whether the treatment variable is an ancestor of the outcome variable
-    in the unrolling of ``g`` with lag entries ``((u, w), lags)``.  No edge
-    points back in time, so every path between them stays within the slices
-    [-gamma, 0]: a walk over their child masks alone (``child_masks``, bit
-    ``(offset + gamma) * |nodes| + series index``) answers for every
-    padding."""
-    index, n = g._index, len(g.nodes)
-    reached = mask_closure(child_masks(g, lag_entries, q.gamma + 1), 1 << index[q.treatment])
-    return bool(reached >> (q.gamma * n + index[q.outcome]) & 1)
-
-
 class _ClassicalCheck:
     """The classical back-door check of one query's sets over a graph's
     templates; each tester list is built on first use."""
@@ -260,18 +248,6 @@ class _ClassicalCheck:
     def in_order(self) -> list[tuple[FTDagTemplate, BackdoorTester, BackdoorTester]]:
         ordered = self.templates.ordered
         return list(zip(ordered, self._testers(ordered), self._testers(ordered, self.q.gamma_max + 1)))
-
-    def makes_ancestor(self) -> bool:
-        """Whether the treatment is an ancestor of the outcome in some
-        compatible template, decided by one walk in the union of every
-        compatible template (``identify.union_lag_entries``), so no template
-        is built.  Every template's unrolling is a subgraph of the union's,
-        and by the union lemma of ``unroll.possible_descendants`` every
-        union path from ``X@-gamma`` to ``Y@0`` lies in some densest
-        template, so the union reaches the outcome exactly when some
-        template does."""
-        g, q = self.templates.g, self.q
-        return _reaches_outcome(g, union_lag_entries(g, q.gamma_max).items(), q)
 
     def valid(self, z: AdjustmentSet) -> bool:
         """Whether ``z`` is valid in every compatible template."""
@@ -581,13 +557,12 @@ def soundness_experiment(cfg: CorpusConfig, checker: Callable = scg_backdoor_che
             if gamma == 1 and verdict.kind in (VerdictKind.COND_C, VerdictKind.NOT_IDENTIFIABLE):
                 if _condition_c_component(g, q) != (verdict.kind is VerdictKind.COND_C):
                     condition_c_form_mismatches += 1
-            classical = _ClassicalCheck(templates, q)
 
             n_checked = n_sound = 0
             if verdict.kind is VerdictKind.NON_ANCESTOR:
                 # The canonical set here is empty; its classical counterpart is
-                # that no compatible template makes the treatment an ancestor.
-                ok = not classical.makes_ancestor()
+                # that the outcome is no possible descendant of the treatment.
+                ok = q.outcome_var not in facts.d
                 n_checked, n_sound = 1, int(ok)
                 if not ok:
                     counterexamples.append(
@@ -600,7 +575,7 @@ def soundness_experiment(cfg: CorpusConfig, checker: Callable = scg_backdoor_che
                     )
             elif verdict.kind is not VerdictKind.NOT_IDENTIFIABLE:
                 n_checked, n_sound, failed, unstable = _check_query(
-                    g, q, index, cfg.max_subset_size, classical, checker
+                    g, q, index, cfg.max_subset_size, _ClassicalCheck(templates, q), checker
                 )
                 counterexamples.extend(failed)
                 padding_instabilities += unstable

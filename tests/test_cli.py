@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scgadjust
-from scgadjust import oracle
+from scgadjust import cli, oracle
 from scgadjust.cli import run
 from scgadjust.oracle import soundness_experiment
 
@@ -131,8 +131,10 @@ class TestSetsAndQopt:
 
 
 class TestHorizonBound:
-    """A lag past ``unroll.MAX_HORIZON`` is an input error, refused before
-    the adjustment window is built."""
+    """A lag past ``unroll.MAX_HORIZON``, or an ``unroll`` window or densest
+    ``gamma_max`` past it, is an input error, refused before the adjustment
+    window or any template is built.  Running out of memory all the same
+    ends in the resource-bound exit 5."""
 
     @pytest.mark.parametrize("command", [["check", "--set", '[["W",-1]]'], ["sets"]])
     def test_absurd_gamma_exit_4(self, graph_file, capsys, command):
@@ -152,6 +154,40 @@ class TestHorizonBound:
         argv = ["check", *q_flags(graph_file, gamma="9999"), "--set", '[["W",-1]]']
         assert bounded(lambda: run(argv), timeout=30) == 3
         assert json.loads(capsys.readouterr().out)["satisfied"] is False
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--lo", "-100000000", "--hi", "0"], "hi - lo must be <= 10000"),
+            (["--lo", "-10001", "--hi", "0", "--densest"], "hi - lo must be <= 10000"),
+            (["--densest", "--gamma-max", "1000000000"], "gamma_max must be <= 10000"),
+        ],
+        ids=["window", "window-densest", "densest-gamma-max"],
+    )
+    def test_absurd_unroll_exit_4(self, graph_file, capsys, flags, message):
+        # The unrolling lists every slice, and the densest template every
+        # lag, so both are refused before any template is built.
+        argv = ["unroll", "--graph", graph_file, *flags]
+        assert bounded(lambda: run(argv), timeout=10) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_widest_unroll_window_accepted(self, graph_file, capsys):
+        argv = ["unroll", "--graph", graph_file, "--lo", "-10000", "--hi", "0"]
+        assert bounded(lambda: run(argv), timeout=10) == 0
+        out = capsys.readouterr().out
+        assert "X@-10000 -> Y@-10000" in out and "X@0 -> Y@0" in out
+
+    def test_out_of_memory_exit_5(self, graph_file, capsys, monkeypatch):
+        def exhausted(g, q):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "canonical_sets", exhausted)
+        assert run(["sets", *q_flags(graph_file)]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: out of memory\n"
 
 
 class TestUnroll:

@@ -45,6 +45,7 @@ from scgadjust.unroll import (
     enumerate_compatible_templates,
     instantiate,
     make_template,
+    possible_descendants,
     sort_temporal,
 )
 
@@ -199,10 +200,11 @@ def compatible_templates(draw, g, gamma_max: int):
 
 
 class TestAncestorCheck:
-    """The non-ancestor verdict's classical counterpart is one walk over the
-    slices [-gamma, 0] of the union of every compatible template.  The same
-    walk in one template must agree with a padded tester's descendant mask,
-    and in the union with "some template reaches"."""
+    """The non-ancestor verdict's classical counterpart is "the outcome is
+    no possible descendant of the treatment", read from the query's D.  A
+    template's padded and unpadded testers must agree on the treatment's
+    descendants, and D must hold the outcome exactly when some template's
+    tester does."""
 
     @given(
         small_scgs(max_nodes=4),
@@ -220,7 +222,6 @@ class TestAncestorCheck:
         for t in templates:
             want = BackdoorTester(t, q).descendant_clash(y)
             assert BackdoorTester(t, q, gamma_max + 1).descendant_clash(y) == want
-            assert oracle._reaches_outcome(t.scg, t.lag_entries, q) == want
 
     @given(
         small_scgs(max_nodes=4),
@@ -235,9 +236,10 @@ class TestAncestorCheck:
         if count_compatible_templates(g, gamma_max, 300) > 300:
             return
         q = MicroQuery(g.nodes[0], g.nodes[1], gamma, gamma_max)
-        union = oracle._reaches_outcome(g, union_lag_entries(g, gamma_max).items(), q)
+        union = q.outcome_var in possible_descendants(g, q.treatment, -gamma, (-gamma, 0), gamma_max)
         some = any(
-            oracle._reaches_outcome(g, t.lag_entries, q) for t in enumerate_compatible_templates(g, gamma_max, 300)
+            BackdoorTester(t, q).descendant_clash([q.outcome_var])
+            for t in enumerate_compatible_templates(g, gamma_max, 300)
         )
         assert union == some
 
@@ -254,10 +256,9 @@ class TestAncestorCheck:
         y = [q.outcome_var]
         templates = enumerate_compatible_templates(g, gamma_max, 300)
         every = any(BackdoorTester(t, q).descendant_clash(y) for t in templates)
-        check = oracle._ClassicalCheck(oracle.GraphTemplates(g, gamma_max, 10_000), q)
-        undominated = check.templates.undominated
-        assert any(oracle._reaches_outcome(g, t.lag_entries, q) for t in undominated) == every
-        assert check.makes_ancestor() == every
+        undominated = oracle.GraphTemplates(g, gamma_max, 10_000).undominated
+        assert any(BackdoorTester(t, q).descendant_clash(y) for t in undominated) == every
+        assert (q.outcome_var in query_facts(g, q).d) == every
 
     def test_forced_non_ancestor_corpus(self, monkeypatch):
         # Every query classified NonAncestor: the union walk must contradict
