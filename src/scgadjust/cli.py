@@ -5,8 +5,15 @@ Exit codes: 0 success, 2 effect not identifiable, 3 candidate set rejected,
 command exits 1 when counterexamples are found or a consistency check
 disagrees.  Input errors include a lag past ``unroll.MAX_HORIZON`` and, for
 ``unroll``, a window with ``hi - lo`` past it or, with ``--densest``, a
-``gamma_max`` past it, each refused before any template is built.  Given
-identical inputs and seeds every command writes identical bytes.
+``gamma_max`` past it, each refused before any template is built, and an
+unrolling of more than ``unroll.MAX_UNROLLED_EDGES`` edges, refused before
+any edge is built.  Given identical inputs and seeds every command writes
+identical bytes.
+
+The oracle layer is imported only by the commands that use it: ``validate``,
+``probe`` and ``unroll --densest``.  numpy is imported only by ``simulate``.
+``identify``, ``check``, ``sets``, ``qopt`` and plain ``unroll`` load
+neither, so they start faster.
 """
 
 from __future__ import annotations
@@ -29,16 +36,10 @@ from .identify import (
     qopt,
     scg_backdoor_check,
 )
-from .oracle import (
-    TEMPLATE_CAP,
-    CorpusConfig,
-    GraphTemplates,
-    completeness_probe,
-    probe_graph,
-    soundness_experiment,
-)
 from .unroll import (
     MAX_HORIZON,
+    MAX_UNROLLED_EDGES,
+    TEMPLATE_CAP,
     MicroQuery,
     QueryError,
     TemplateCapExceeded,
@@ -46,6 +47,7 @@ from .unroll import (
     densest_templates,
     enumerate_compatible_templates,
     unroll,
+    unrolled_edge_count,
 )
 
 EXIT_OK = 0
@@ -150,6 +152,8 @@ def cmd_unroll(args) -> int:
     if args.densest and args.gamma_max > MAX_HORIZON:
         raise ValueError(f"gamma_max must be <= {MAX_HORIZON}")
     if args.densest:
+        from .oracle import GraphTemplates
+
         templates = GraphTemplates(g, args.gamma_max, args.template_cap).densest
     else:
         templates = enumerate_compatible_templates(g, args.gamma_max, cap=args.template_cap)
@@ -158,6 +162,9 @@ def cmd_unroll(args) -> int:
             f"template index {args.template_index} out of range (have {len(templates)})"
         )
     tmpl = templates[args.template_index]
+    n_edges = unrolled_edge_count(tmpl, args.lo, args.hi)
+    if n_edges > MAX_UNROLLED_EDGES:
+        raise ValueError(f"the unrolling has {n_edges} edges, more than the bound of {MAX_UNROLLED_EDGES}")
     u = unroll(tmpl, args.lo, args.hi)
     if args.format == "json":
         payload = {
@@ -171,7 +178,9 @@ def cmd_unroll(args) -> int:
     return EXIT_OK
 
 
-def _corpus_config(args) -> CorpusConfig:
+def _corpus_config(args):
+    from .oracle import CorpusConfig
+
     return CorpusConfig(
         n_graphs=args.n_graphs,
         node_count_range=(args.min_nodes, args.max_nodes),
@@ -185,6 +194,8 @@ def _corpus_config(args) -> CorpusConfig:
 
 
 def cmd_validate(args) -> int:
+    from .oracle import soundness_experiment
+
     report = soundness_experiment(_corpus_config(args))
     text = report.to_csv() if args.format == "csv" else report.to_json()
     _emit(text, args.out)
@@ -197,6 +208,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_probe(args) -> int:
+    from .oracle import completeness_probe, probe_graph
+
     if args.graph:
         g = _load_graph(args.graph)
         q = _query(args)

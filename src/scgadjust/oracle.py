@@ -81,6 +81,7 @@ from .identify import (
 )
 from .unroll import (
     MAX_HORIZON,
+    TEMPLATE_CAP,
     FTDagTemplate,
     MicroQuery,
     TemplateCapExceeded,
@@ -94,10 +95,6 @@ from .unroll import (
     sort_temporal,
     undominated_templates,
 )
-
-# The default densest-template cap of the corpora, the CLI flags and the
-# ``cap`` arguments.
-TEMPLATE_CAP = 50
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,15 @@ class QueryError(ValueError):
 # is refused here rather than exhausting memory.
 MAX_HORIZON = 10_000
 
+# The most edges the ``unroll`` command writes out.  A window and a gamma_max
+# each within MAX_HORIZON can still ask for millions of edges, so the command
+# counts them from the template before it unrolls anything.
+MAX_UNROLLED_EDGES = 250_000
+
+# The default densest-template cap of the corpora, the CLI flags and the
+# oracle's ``cap`` arguments.
+TEMPLATE_CAP = 50
+
 
 class TemplateError(ValueError):
     """Lag assignment violates the template invariants."""
@@ -448,6 +457,12 @@ def unroll(tmpl: FTDagTemplate, lo: int, hi: int) -> UnrolledGraph:
             for target in range(lo + lag, hi + 1):
                 edges.add((TemporalVar(u, target - lag), TemporalVar(w, target)))
     return UnrolledGraph((lo, hi), g.nodes, nodes, frozenset(edges))
+
+
+def unrolled_edge_count(tmpl: FTDagTemplate, lo: int, hi: int) -> int:
+    """The number of edges ``unroll(tmpl, lo, hi)`` builds, counted without
+    building them: a lag ``l`` edge lands in every slice but the first ``l``."""
+    return sum(max(0, hi - lo + 1 - lag) for _, lags in tmpl.lag_entries for lag in lags)
 
 
 def padded_window(g: SCG, q: MicroQuery, extra: int = 0) -> tuple[int, int]:

@@ -33,6 +33,9 @@ def feedback_file(tmp_path, cycle_pair_confounded):
     return str(path)
 
 
+GRAPHS_DIR = Path(__file__).resolve().parent.parent / "graphs"
+
+
 def ring(n):
     """A directed ring of ``n`` series, as graph JSON: 2**n - 2 densest templates."""
     names = [f"V{i}" for i in range(n)]
@@ -87,6 +90,42 @@ class TestColdImport:
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
         assert proc.stdout.strip() == "False"
 
+    @staticmethod
+    def loaded_after(*argvs):
+        """Run each argv through ``cli.run`` in one fresh interpreter, and
+        return per call its exit code and whether the oracle and numpy were
+        loaded after it."""
+        src = str(Path(scgadjust.__file__).resolve().parent.parent)
+        probe = (
+            "import contextlib, io, json, sys\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "from scgadjust.cli import run\n"
+            "out = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = run(argv)\n"
+            "    out.append([code, 'scgadjust.oracle' in sys.modules, 'numpy' in sys.modules])\n"
+            "print(json.dumps(out))\n"
+        )
+        argv = [sys.executable, "-c", probe, json.dumps(argvs)]
+        proc = subprocess.run(argv, capture_output=True, text=True, check=True, timeout=120)
+        return json.loads(proc.stdout)
+
+    def test_graph_commands_skip_oracle(self):
+        # The macro commands answer from the graph alone: the oracle layer
+        # stays unloaded, and numpy too until simulate, which is run last.
+        graph = str(GRAPHS_DIR / "persistence_chain.json")
+        q = ["--graph", graph, "--treatment", "X", "--outcome", "Y", "--gamma", "1"]
+        graph_only = [["identify", *q], ["check", *q, "--set", "[]"], ["sets", *q], ["qopt", *q],
+                      ["unroll", "--graph", graph]]
+        simulate = ["simulate", *q, "--n", "200", "--reps", "10"]
+        results = self.loaded_after(*graph_only, simulate)
+        assert [code for code, _, _ in results] == [0, 3, 0, 0, 0, 0]
+        assert [oracle for _, oracle, _ in results] == [False] * 6
+        assert [numpy for _, _, numpy in results] == [False] * 5 + [True]
+        # The probe sees the oracle where a command does load it.
+        assert self.loaded_after(["validate", "--n-graphs", "1"]) == [[0, True, False]]
+
 
 class TestCheck:
     def test_accept(self, graph_file, capsys):
@@ -133,8 +172,9 @@ class TestSetsAndQopt:
 class TestHorizonBound:
     """A lag past ``unroll.MAX_HORIZON``, or an ``unroll`` window or densest
     ``gamma_max`` past it, is an input error, refused before the adjustment
-    window or any template is built.  Running out of memory all the same
-    ends in the resource-bound exit 5."""
+    window or any template is built; so is an unrolling of more than
+    ``unroll.MAX_UNROLLED_EDGES`` edges, refused before any edge is built.
+    Running out of memory all the same ends in the resource-bound exit 5."""
 
     @pytest.mark.parametrize("command", [["check", "--set", '[["W",-1]]'], ["sets"]])
     def test_absurd_gamma_exit_4(self, graph_file, capsys, command):
@@ -161,12 +201,18 @@ class TestHorizonBound:
             (["--lo", "-100000000", "--hi", "0"], "hi - lo must be <= 10000"),
             (["--lo", "-10001", "--hi", "0", "--densest"], "hi - lo must be <= 10000"),
             (["--densest", "--gamma-max", "1000000000"], "gamma_max must be <= 10000"),
+            (
+                ["--densest", "--gamma-max", "600", "--lo", "-1000"],
+                "the unrolling has 1683202 edges, more than the bound of 250000",
+            ),
         ],
-        ids=["window", "window-densest", "densest-gamma-max"],
+        ids=["window", "window-densest", "densest-gamma-max", "edge-count"],
     )
     def test_absurd_unroll_exit_4(self, graph_file, capsys, flags, message):
         # The unrolling lists every slice, and the densest template every
-        # lag, so both are refused before any template is built.
+        # lag, so both are refused before any template is built.  A window
+        # and a gamma_max each within the bound can still ask for millions
+        # of edges, counted from the template before any edge is built.
         argv = ["unroll", "--graph", graph_file, *flags]
         assert bounded(lambda: run(argv), timeout=10) == 4
         captured = capsys.readouterr()
@@ -289,7 +335,7 @@ class TestValidate:
         def mismatched(cfg):
             return dataclasses.replace(soundness_experiment(cfg), condition_c_form_mismatches=2)
 
-        monkeypatch.setattr("scgadjust.cli.soundness_experiment", mismatched)
+        monkeypatch.setattr("scgadjust.oracle.soundness_experiment", mismatched)
         assert run(["validate", "--n-graphs", "3", "--seed", "7", "--max-subset-size", "2"]) == 1
         captured = capsys.readouterr()
         assert json.loads(captured.out)["counterexamples"] == []

@@ -29,6 +29,7 @@ from scgadjust.unroll import (
     iter_compatible_templates,
     sort_temporal,
     undominated_templates,
+    unrolled_edge_count,
 )
 
 from .conftest import bounded, small_scgs, tv, zset
@@ -320,6 +321,14 @@ class TestUnroll:
                     if indeg[w] == 0:
                         queue.append(w)
             assert seen == len(u.nodes)
+
+    @given(small_scgs(max_nodes=4), st.integers(1, 3), st.integers(-4, 0), st.integers(0, 4))
+    @settings(max_examples=40)
+    def test_edge_count_without_unrolling(self, g, gamma_max, hi, width):
+        # Windows narrower than a lag leave that lag's edges out.
+        lo = hi - width
+        for t in [*islice(iter_compatible_templates(g, gamma_max), 5), *densest_templates(g, gamma_max)[:3]]:
+            assert unrolled_edge_count(t, lo, hi) == len(unroll(t, lo, hi).edges)
 
 
 class TestMacroProjection:
