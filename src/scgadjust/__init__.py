@@ -22,15 +22,11 @@ from .identify import (
     WindowError,
     adjustment_set_from_json,
     adjustment_set_to_obj,
-    backdoor_restricted_ecn,
     canonical_sets,
     causal_nodes,
-    classical_backdoor_check,
     estimand,
     extended_causal_nodes,
-    ftdag_opt,
     identify,
-    qopt_witness_template,
     qopt,
     scg_backdoor_check,
     set_a1,

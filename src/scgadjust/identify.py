@@ -39,14 +39,11 @@ from .graph import (
 from .unroll import (
     FTDagTemplate,
     MicroQuery,
-    QueryError,
     TemporalVar,
     instantiate,
-    make_template,
     padded_window,
     possible_descendants,
     sort_temporal,
-    unroll,
 )
 
 AdjustmentSet = frozenset[TemporalVar]
@@ -177,14 +174,6 @@ def _open_backdoor_ecn(
 
     any(walk(w, False) for w in parents[x] if w != x)
     return frozenset(found)
-
-
-def backdoor_restricted_ecn(g: SCG, x: str, y: str, z2: Iterable[TemporalVar]) -> frozenset[str]:
-    """Extended causal nodes on some macro back-door path from ``x`` to ``y``
-    whose colliders all have a temporal instance in ``z2``."""
-    series = frozenset(tv.series for tv in z2)
-    g.check_nodes(series)
-    return _open_backdoor_ecn(g, x, y, extended_causal_nodes(g, x, y), series)
 
 
 @dataclass(frozen=True)
@@ -507,13 +496,9 @@ def set_a1(g: SCG, q: MicroQuery) -> AdjustmentSet:
 def set_a2(g: SCG, q: MicroQuery) -> AdjustmentSet:
     """Ancestral baseline set: the restriction of the largest baseline to
     ancestors of the treatment or outcome."""
-    _require_identifiable(g, q, allow_non_ancestor=True)
-    de_x = descendants(g, [q.treatment])
+    a1 = set_a1(g, q)
     an_xy = ancestors(g, [q.treatment, q.outcome])
-    lo = q.window_floor
-    return instantiate(an_xy & de_x, lo - 1, -q.gamma - 1) | instantiate(
-        an_xy - de_x, lo, -q.gamma
-    )
+    return frozenset(tv for tv in a1 if tv.series in an_xy)
 
 
 def _require_identifiable(g: SCG, q: MicroQuery, allow_non_ancestor: bool = False) -> _QueryFacts:
@@ -541,21 +526,6 @@ def canonical_sets(g: SCG, q: MicroQuery) -> dict[str, AdjustmentSet]:
     if facts.verdict.kind is VerdictKind.NON_ANCESTOR:
         return {"empty": EMPTY}
     return {"qopt": qopt(g, q), "a1": set_a1(g, q), "a2": set_a2(g, q), **facts.cores}
-
-
-def ftdag_opt(tmpl: FTDagTemplate, q: MicroQuery) -> AdjustmentSet:
-    """Variance-optimal adjustment set in one full-time DAG: parents of the
-    causal nodes minus descendants of the treatment variable."""
-    u = unroll(tmpl, *padded_window(tmpl.scg, q))
-    x, y = q.treatment_var, q.outcome_var
-    de_x = u.descendants_of([x])
-    if y not in de_x:
-        raise QueryError("treatment is not an ancestor of the outcome in this template")
-    cn = (de_x & u.ancestors_of([y])) - {x}
-    parents: set[TemporalVar] = set()
-    for v in cn:
-        parents.update(u.parents[v])
-    return frozenset(parents) - de_x
 
 
 class _PrunedUnrolling:
@@ -758,57 +728,6 @@ class UnionTester:
         first = self._unrollings[0]
         c, pm = first.mask(core), first.mask(pool)
         return all(u.certifies_up_set(c, pm) for u in self._unrollings)
-
-
-def classical_backdoor_check(
-    tmpl: FTDagTemplate, q: MicroQuery, z: Iterable[TemporalVar], extra_padding: int = 0
-) -> bool:
-    """Classical back-door test for ``z`` in one template: no descendant of the
-    treatment variable, and the treatment is d-separated from the outcome once
-    its outgoing edges are removed."""
-    return BackdoorTester(tmpl, q, extra_padding).check(frozenset(z))
-
-
-def qopt_witness_template(g: SCG, q: MicroQuery) -> FTDagTemplate:
-    """Deterministic witness template: every edge carries all positive lags;
-    instantaneous edges are added greedily along every directed
-    treatment-to-outcome path and then closed under parent edges into
-    instantaneously-reached nodes, skipping any addition that would create a
-    macro cycle."""
-    _require_identifiable(g, q)
-    zero: set[tuple[str, str]] = set()
-    zero_children: dict[str, set[str]] = {v: set() for v in g.nodes}
-
-    def try_add(u: str, w: str) -> None:
-        if u == w or (u, w) in zero or (u, w) not in g.edges:
-            return
-        if u in closure(zero_children, [w]):
-            return
-        zero.add((u, w))
-        zero_children[u].add(w)
-
-    for path in simple_directed_paths(g, q.treatment, q.outcome):
-        for i in range(len(path) - 1):
-            try_add(path[i], path[i + 1])
-
-    changed = True
-    while changed:
-        changed = False
-        targets = sorted({w for (_, w) in zero}, key=g.index)
-        for w in targets:
-            for p in g.sorted_nodes(g.parents(w)):
-                if (p, w) not in zero and p != w and p not in closure(zero_children, [w]):
-                    zero.add((p, w))
-                    zero_children[p].add(w)
-                    changed = True
-
-    lags = {}
-    for edge in g.edge_list:
-        base = set(range(1, q.gamma_max + 1))
-        if edge in zero:
-            base.add(0)
-        lags[edge] = base
-    return make_template(g, q.gamma_max, lags)
 
 
 def estimand(q: MicroQuery, z: Iterable[TemporalVar]) -> dict:

@@ -36,15 +36,15 @@ certifies is valid everywhere.  A set that holds one of the query's cores
 is mostly decided from two Bayes-ball reaches of that core, each walked at
 most once per query, and the same reaches certify a core's whole up-set
 within a pool at once (``UnionTester.certify_up_set``); any other set takes
-one walk.  A query with a refused set or family is checked set by set, and
-only a set the certificate refuses reaches the templates: it goes through
-the ordered list at both paddings, so its witness template and padding
-instabilities are the ones the full loop finds.  In the corpora run so far
-only invalid sets are refused.  A NonAncestor query builds no template: its
-empty set holds when the outcome lies outside the query's possible
-descendants D (``query_facts``), walked in the union of every compatible
-template.  The verdict reads macro ancestry in the graph, not D, so D is
-not checked against itself.
+one walk.  A family the certificate refuses is checked set by set, and only
+a set it refuses reaches the templates: it goes through the ordered list at
+both paddings, so its witness template and padding instabilities are the
+ones the full loop finds.  In the corpora run so far only invalid sets are
+refused.  A NonAncestor query builds no template: its empty set holds when
+the outcome lies outside the query's possible descendants D
+(``query_facts``), walked in the union of every compatible template.  The
+verdict reads macro ancestry in the graph, not D, so D is not checked
+against itself.
 
 ``valid`` (``probe``, ``common_backdoor_valid``) decides validity in the
 undominated densest templates.  Every compatible template lies
@@ -210,7 +210,7 @@ class GraphTemplates:
         """The number of compatible templates, or None when there are more
         than ``cap``.  ``count_compatible_templates`` works it out by
         arithmetic, building no template; the list of them is built only
-        when a set reaches the in-order fallback."""
+        when the certificate refuses a set."""
         n = count_compatible_templates(self.g, self.gamma_max, self.cap)
         return n if n <= self.cap else None
 
@@ -420,57 +420,43 @@ def _condition_c_component(g: SCG, q: MicroQuery) -> bool:
     return scc_of(g, q.treatment) <= {q.treatment, q.outcome} and not g.has_self_loop(q.outcome)
 
 
-def _certified_count(g: SCG, q: MicroQuery, max_subset_size: int, union: UnionTester) -> int | None:
-    """The number of distinct sets the per-set loop checks on an identifiable
-    query with the library's criterion when the union certificate passes
-    every one of them, else None.
-
-    The family F, the supersets of the core items' cores in window - D up to
-    the bound, is accepted whole, as each core item accepts exactly the
-    supersets of its core that avoid D: it is counted by inclusion-exclusion
-    and certified with one test per core and lag-0 orientation.  Only the
-    partition items' candidates outside F go to the criterion, and the ones
-    it accepts, with the canonical sets outside F, to the certificate."""
-    facts = query_facts(g, q)
-    item_cores, partition_cores = facts.split_cores
-    family = candidate_subsets(g, q, max_subset_size, facts.d, item_cores)
-    if not all(union.certify_up_set(core, family.pool) for core in family.cores):
-        return None
-    rest = {
-        z
-        for z in candidate_subsets(g, q, max_subset_size, facts.d, partition_cores)
-        if z not in family and scg_backdoor_check(g, q, z).satisfied
-    }
-    rest.update(z for z in canonical_sets(g, q).values() if z not in family)
-    if not all(map(union.certify, rest)):
-        return None
-    return len(family) + len(rest)
-
-
 def _check_query(
     g: SCG, q: MicroQuery, index: int, max_subset_size: int, classical: _ClassicalCheck, checker: Callable
 ) -> tuple[int, int, list[dict], int]:
     """The sets checked and found sound, the counterexamples in canonical
     order of their sets, and the padding instabilities of one identifiable
-    query.  With the library's criterion a query whose sets the certificate
-    all passes is counted (``_certified_count``); any other query checks
-    every accepted set and canonical set in turn."""
+    query.
+
+    With the library's criterion the family F, the supersets of the core
+    items' cores in window - D up to the bound, is accepted whole, as each
+    core item accepts exactly the supersets of its core that avoid D.  When
+    the certificate passes each core's up-set (one test per core and lag-0
+    orientation), F is counted by inclusion-exclusion and never walked: a
+    certified up-set certifies each of its members, which would each have
+    been found sound with no instability.  Otherwise F's sets join the sets
+    to check.  Only the partition items' candidates outside F go to the
+    criterion; the ones it accepts, and the canonical sets outside a counted
+    F, go through ``classical.witness`` one at a time.  Any other checker
+    judges every in-window subset."""
     exclude, cores = frozenset(), (EMPTY,)
-    if checker is scg_backdoor_check:
-        n = _certified_count(g, q, max_subset_size, classical.union)
-        if n is not None:
-            return n, n, [], 0
-        # The library's criterion accepts only supersets of a core that
-        # avoid the possible descendants, and a rejected set leaves no trace,
-        # so it is handed only those; any other checker sees all.
-        facts = query_facts(g, q)
-        exclude, cores = facts.d, facts.cores.values()
+    family: CandidateSets | tuple = ()
+    counted: CandidateSets | tuple = ()
     to_check: dict[AdjustmentSet, str] = {}
+    if checker is scg_backdoor_check:
+        facts = query_facts(g, q)
+        item_cores, cores = facts.split_cores
+        exclude = facts.d
+        family = candidate_subsets(g, q, max_subset_size, exclude, item_cores)
+        if all(classical.union.certify_up_set(core, family.pool) for core in family.cores):
+            counted = family
+        else:
+            to_check = dict.fromkeys(family, "criterion")
     for z in candidate_subsets(g, q, max_subset_size, exclude, cores):
-        if checker(g, q, z).satisfied:
+        if z not in family and checker(g, q, z).satisfied:
             to_check.setdefault(z, "criterion")
     for name, z in canonical_sets(g, q).items():
-        to_check.setdefault(z, name)
+        if z not in counted:
+            to_check.setdefault(z, name)
 
     n_sound = unstable = 0
     failed: list[dict] = []
@@ -491,7 +477,7 @@ def _check_query(
                 }
             )
     failed.sort(key=itemgetter("set"))
-    return len(to_check), n_sound, failed, unstable
+    return len(counted) + len(to_check), len(counted) + n_sound, failed, unstable
 
 
 def soundness_experiment(cfg: CorpusConfig, checker: Callable = scg_backdoor_check) -> SoundnessReport:
@@ -510,18 +496,16 @@ def soundness_experiment(cfg: CorpusConfig, checker: Callable = scg_backdoor_che
     no collider (the item's core), because opening colliders only adds to
     the mandated part.  A rejected set leaves no trace in the report.  The
     core items' acceptances are inferred from that up-set lemma, not asked
-    of the criterion: ``_certified_count`` counts them by inclusion-exclusion
-    and certifies each core's up-set with one union test per lag-0
-    orientation, so only the partition items' other supersets are judged,
-    and they and the canonical sets outside the family certified, one at a
-    time.  A query where any of these is refused, and every query with any
-    other checker, is checked set by set (``_check_query``): each candidate
-    goes to ``checker`` once and each accepted or canonical set to the
-    classical check.  Any other checker gets every in-window subset, so that
-    a damaged one (one that, say, loses the possible-descendant guard) is
-    still caught by the classical side.  The subsets are generated one at a
-    time and only the accepted ones are kept, so memory holds the accepted
-    sets of one query at most.
+    of the criterion (``_check_query``): their family is certified with one
+    union test per core and lag-0 orientation and then counted by
+    inclusion-exclusion, or, if refused, checked set by set.  Only the
+    partition items' other supersets are judged, and they and the remaining
+    canonical sets go to the classical check one at a time.  Any other
+    checker judges every in-window subset once, so that a damaged one (one
+    that, say, loses the possible-descendant guard) is still caught by the
+    classical side.  The subsets are generated one at a time and only the
+    accepted ones are kept, so memory holds the accepted sets of one query
+    at most.
     Blocking verdicts are recomputed at a deeper past padding and
     disagreements are counted as instabilities; a gamma-1 verdict that
     reached condition C is recomputed with the component form, and

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import chain, combinations, permutations, product
+from itertools import chain, combinations, product
 from typing import Iterable, Iterator, NamedTuple
 
 from .graph import (
@@ -301,31 +301,43 @@ def _acyclic_weight_sum(edges: list[tuple[str, str]], with_zero: int, positive: 
         i += 1
 
 
-def _maximal_acyclic_subsets(nodes: tuple[str, ...], edges: list[tuple[str, str]]) -> list[frozenset[tuple[str, str]]]:
-    # The distinct edge subsets that a linear order of the nodes induces (the
-    # edges pointing forward in it), found by walking every order.  They are
-    # acyclic but not all maximal: for the 3-cycle A->B->C->A the order
-    # (A, C, B) induces {AB} alone, within the {AB, BC} of (A, B, C).
-    if not edges:
-        return [frozenset()]
-    seen: set[frozenset[tuple[str, str]]] = set()
-    for order in permutations(nodes):
-        rank = {v: i for i, v in enumerate(order)}
-        seen.add(frozenset((u, w) for (u, w) in edges if rank[u] < rank[w]))
-    return sorted(seen, key=lambda s: sorted(s))
+def _orientation_sets(edges: list[tuple[str, str]]) -> list[frozenset[tuple[str, str]]]:
+    """The internal-edge sets of one strongly connected component that its
+    node orders induce (the edges pointing forward), in
+    ``sorted(..., key=sorted)`` order.
+
+    They are the sets of the acyclic orientations of the component's
+    undirected skeleton, an antiparallel pair being one skeleton edge (see
+    ``count_densest_templates``).  A depth-first walk orients each skeleton
+    edge in turn, either way that closes no directed cycle; one way always
+    does, and any acyclic partial orientation extends to a whole one, so
+    every leaf is an acyclic orientation and each comes once."""
+    pairs = list(dict.fromkeys(tuple(sorted(e)) for e in edges))
+    children: dict[str, set[str]] = {v: set() for e in edges for v in e}
+    out: list[frozenset[tuple[str, str]]] = []
+
+    def walk(i: int) -> None:
+        if i == len(pairs):
+            out.append(frozenset(e for e in edges if e[1] in children[e[0]]))
+            return
+        a, b = pairs[i]
+        for u, w in ((a, b), (b, a)):
+            if u not in closure(children, [w]):
+                children[u].add(w)
+                walk(i + 1)
+                children[u].discard(w)
+
+    walk(0)
+    return sorted(out, key=sorted)
 
 
 def _zero_lag_choices(g: SCG) -> tuple[set[tuple[str, str]], list[list[frozenset[tuple[str, str]]]]]:
     """The lag-0 edges of the densest templates: the non-self edges between
     strongly connected components, which keep lag 0 in all of them, and for
-    each component with internal edges the internal-edge sets that its node
-    orders induce."""
+    each component with internal edges, in component order, the
+    internal-edge sets that its node orders induce (``_orientation_sets``)."""
     part = scc_partition(g)
-    per_scc = [
-        _maximal_acyclic_subsets(members, part.internal[idx])
-        for idx, members in enumerate(part.components)
-        if idx in part.internal
-    ]
+    per_scc = [_orientation_sets(part.internal[idx]) for idx in sorted(part.internal)]
     return set(part.between), per_scc
 
 
@@ -382,7 +394,8 @@ def densest_templates(g: SCG, gamma_max: int) -> list[FTDagTemplate]:
     """Templates with maximal lag sets: full lags everywhere, lag 0 kept on
     the non-self edges between strongly connected components and, within
     each component, on the internal edges that point forward in one node
-    order; one template per distinct choice, each built from the orders."""
+    order; one template per distinct choice, each listed from an acyclic
+    orientation of the component's skeleton, with no node order walked."""
     always_zero, per_scc = _zero_lag_choices(g)
     results: list[FTDagTemplate] = []
     for choice in product(*per_scc):

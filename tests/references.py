@@ -6,26 +6,46 @@ possible descendants as a union over every compatible template, the
 unrolling masks by a walk over edges, lags and slices, strongly
 connected components by Tarjan's algorithm, the criterion's reports built
 and rendered afresh on every call, the oracle's candidate sets as one list,
-the soundness experiment's query checked one set at a time.  Several are
-exponential and meant for small graphs only.  None of them is used by the
-package itself.
+the soundness experiment's query checked one set at a time, each strongly
+connected component's densest lag-0 edge sets from every node order.
+Several are exponential and meant for small graphs only.
+
+Three more are the per-template side of the macro answers, which the tests
+compare qopt and the mandated part Z1 against: the optimal set of one
+full-time DAG (``ftdag_opt``), the deterministic witness template of a
+query (``qopt_witness_template``) and the extended causal nodes on some
+back-door path that a set's series open (``backdoor_restricted_ecn``).
+
+None of them is used by the package itself.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations
 from operator import itemgetter
 from typing import Callable, Iterable
 
-from scgadjust.graph import SCG, NodeId, SccPartition, closure, cycle_profile, d_connected, mask_closure
+from scgadjust.graph import (
+    SCG,
+    NodeId,
+    SccPartition,
+    closure,
+    cycle_profile,
+    d_connected,
+    mask_closure,
+    simple_directed_paths,
+)
 from scgadjust.identify import (
     EMPTY,
     AdjustmentSet,
     CriterionReport,
     VerdictKind,
     _check_z_shape,
+    _open_backdoor_ecn,
+    _require_identifiable,
     adjustment_set_to_obj,
     canonical_sets,
+    extended_causal_nodes,
     query_facts,
     scg_backdoor_check,
 )
@@ -33,10 +53,12 @@ from scgadjust.oracle import candidate_subsets
 from scgadjust.unroll import (
     FTDagTemplate,
     MicroQuery,
+    QueryError,
     TemporalVar,
     UnrolledGraph,
     enumerate_compatible_templates,
     instantiate,
+    make_template,
     padded_window,
     sort_temporal,
     unroll,
@@ -386,3 +408,82 @@ def per_set_check_query(
             }
         )
     return len(to_check), n_sound, sorted(failed, key=itemgetter("set")), unstable
+
+
+def ftdag_opt(tmpl: FTDagTemplate, q: MicroQuery) -> AdjustmentSet:
+    """Variance-optimal adjustment set in one full-time DAG: parents of the
+    causal nodes minus descendants of the treatment variable."""
+    u = unroll(tmpl, *padded_window(tmpl.scg, q))
+    x, y = q.treatment_var, q.outcome_var
+    de_x = u.descendants_of([x])
+    if y not in de_x:
+        raise QueryError("treatment is not an ancestor of the outcome in this template")
+    cn = (de_x & u.ancestors_of([y])) - {x}
+    parents: set[TemporalVar] = set()
+    for v in cn:
+        parents.update(u.parents[v])
+    return frozenset(parents) - de_x
+
+
+def qopt_witness_template(g: SCG, q: MicroQuery) -> FTDagTemplate:
+    """Deterministic witness template: every edge carries all positive lags;
+    instantaneous edges are added greedily along every directed
+    treatment-to-outcome path and then closed under parent edges into
+    instantaneously-reached nodes, skipping any addition that would create a
+    macro cycle."""
+    _require_identifiable(g, q)
+    zero: set[tuple[str, str]] = set()
+    zero_children: dict[str, set[str]] = {v: set() for v in g.nodes}
+
+    def try_add(u: str, w: str) -> None:
+        if u == w or (u, w) in zero or (u, w) not in g.edges:
+            return
+        if u in closure(zero_children, [w]):
+            return
+        zero.add((u, w))
+        zero_children[u].add(w)
+
+    for path in simple_directed_paths(g, q.treatment, q.outcome):
+        for i in range(len(path) - 1):
+            try_add(path[i], path[i + 1])
+
+    changed = True
+    while changed:
+        changed = False
+        targets = sorted({w for (_, w) in zero}, key=g.index)
+        for w in targets:
+            for p in g.sorted_nodes(g.parents(w)):
+                if (p, w) not in zero and p != w and p not in closure(zero_children, [w]):
+                    zero.add((p, w))
+                    zero_children[p].add(w)
+                    changed = True
+
+    lags = {}
+    for edge in g.edge_list:
+        base = set(range(1, q.gamma_max + 1))
+        if edge in zero:
+            base.add(0)
+        lags[edge] = base
+    return make_template(g, q.gamma_max, lags)
+
+
+def backdoor_restricted_ecn(g: SCG, x: str, y: str, z2: Iterable[TemporalVar]) -> frozenset[str]:
+    """Extended causal nodes on some macro back-door path from ``x`` to ``y``
+    whose colliders all have a temporal instance in ``z2``."""
+    series = frozenset(tv.series for tv in z2)
+    g.check_nodes(series)
+    return _open_backdoor_ecn(g, x, y, extended_causal_nodes(g, x, y), series)
+
+
+def order_induced_subsets(nodes: Iterable[str], edges: list[tuple[str, str]]) -> list[frozenset[tuple[str, str]]]:
+    """The distinct subsets of ``edges`` that a linear order of ``nodes``
+    induces (the edges pointing forward in it), found by walking every
+    order, in ``sorted(..., key=sorted)`` order; n! orders, small graphs
+    only."""
+    if not edges:
+        return [frozenset()]
+    seen: set[frozenset[tuple[str, str]]] = set()
+    for order in permutations(nodes):
+        rank = {v: i for i, v in enumerate(order)}
+        seen.add(frozenset((u, w) for (u, w) in edges if rank[u] < rank[w]))
+    return sorted(seen, key=sorted)

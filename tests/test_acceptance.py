@@ -18,14 +18,10 @@ from scgadjust import (
     MicroQuery,
     QueryError,
     VerdictKind,
-    backdoor_restricted_ecn,
-    classical_backdoor_check,
     densest_templates,
     enumerate_compatible_templates,
-    ftdag_opt,
     identify,
     possible_descendants,
-    qopt_witness_template,
     qopt,
     scg_backdoor_check,
     set_a1,
@@ -37,7 +33,12 @@ from scgadjust.simulate import variance_experiment
 from scgadjust.unroll import count_compatible_templates, count_densest_templates
 
 from .conftest import query, zset
-from .references import possible_descendants_bruteforce
+from .references import (
+    backdoor_restricted_ecn,
+    ftdag_opt,
+    possible_descendants_bruteforce,
+    qopt_witness_template,
+)
 
 DESK_CORPUS = CorpusConfig(
     n_graphs=200,
@@ -314,8 +315,8 @@ def test_criterion_7_fixture_captions(optimal_gap, optimal_gap_templates, dual_r
     q0 = query(gamma=0)
     t1, t2 = optimal_gap_templates
     o1, o2 = ftdag_opt(t1, q0), ftdag_opt(t2, q0)
-    cross_invalid = (not classical_backdoor_check(t2, q0, o1)) and (
-        not classical_backdoor_check(t1, q0, o2)
+    cross_invalid = (not BackdoorTester(t2, q0).check(o1)) and (
+        not BackdoorTester(t1, q0).check(o2)
     )
 
     quasi = qopt(dual_role_outcome, q0)

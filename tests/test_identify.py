@@ -20,19 +20,15 @@ from scgadjust import (
     WindowError,
     adjustment_set_to_obj,
     ancestors,
-    backdoor_restricted_ecn,
     canonical_sets,
     causal_nodes,
-    classical_backdoor_check,
     densest_templates,
     enumerate_compatible_templates,
     estimand,
     extended_causal_nodes,
-    ftdag_opt,
     identify,
     make_template,
     possible_descendants,
-    qopt_witness_template,
     qopt,
     scg_backdoor_check,
     scg_from_json,
@@ -48,9 +44,12 @@ from scgadjust.unroll import instantiate, padded_window, unroll
 
 from .conftest import bounded, query, small_scgs, tv, zset
 from .references import (
+    backdoor_restricted_ecn,
     d_separated,
     d_separated_bruteforce,
     eager_scg_backdoor_check,
+    ftdag_opt,
+    qopt_witness_template,
     set_based_d_connected,
     without_outgoing,
 )
@@ -365,7 +364,7 @@ class TestFtdagOpt:
 class TestClassicalBackdoor:
     def test_golden_set(self, persistence_template):
         z = zset(("X", -2), ("W", -2), ("W", -1))
-        assert classical_backdoor_check(persistence_template, query(gamma=1), z)
+        assert BackdoorTester(persistence_template, query(gamma=1)).check(z)
 
     def test_matches_public_piece_composition(self, persistence_template, optimal_gap_templates):
         # Same verdicts as removing the treatment's outgoing edges by hand and
@@ -388,7 +387,7 @@ class TestClassicalBackdoor:
                 for combo in combinations(pool, k):
                     z = frozenset(combo)
                     expected = not (z & de_x) and d_separated(pruned, [x], [y], z)
-                    assert classical_backdoor_check(tmpl, q, z) == expected
+                    assert BackdoorTester(tmpl, q).check(z) == expected
 
     def test_verdicts_stable_under_extra_padding(self, persistence_template):
         from itertools import combinations
@@ -401,15 +400,15 @@ class TestClassicalBackdoor:
         for k in (0, 1, 2):
             for combo in combinations(pool, k):
                 z = frozenset(combo)
-                assert classical_backdoor_check(persistence_template, q, z) == (
-                    classical_backdoor_check(persistence_template, q, z, extra_padding=2)
+                assert BackdoorTester(persistence_template, q).check(z) == (
+                    BackdoorTester(persistence_template, q, 2).check(z)
                 )
 
     def test_empty_fails(self, persistence_template):
-        assert not classical_backdoor_check(persistence_template, query(gamma=1), frozenset())
+        assert not BackdoorTester(persistence_template, query(gamma=1)).check(frozenset())
 
     def test_descendant_fails(self, persistence_template):
-        assert not classical_backdoor_check(persistence_template, query(gamma=1), zset(("Y", 0)))
+        assert not BackdoorTester(persistence_template, query(gamma=1)).check(zset(("Y", 0)))
 
 
 @st.composite
@@ -723,7 +722,7 @@ class TestSoundnessProperties:
             return
         for z in (set_a1(g, q), set_a2(g, q)):
             for t in densest_templates(g, 1):
-                assert classical_backdoor_check(t, q, z)
+                assert BackdoorTester(t, q).check(z)
 
     @given(small_scgs(max_nodes=4), st.integers(min_value=0, max_value=1))
     @settings(max_examples=25)

@@ -23,7 +23,6 @@ from scgadjust.identify import (
     _QueryFacts,
     adjustment_set_to_obj,
     canonical_sets,
-    classical_backdoor_check,
     query_facts,
     scg_backdoor_check,
     union_lag_entries,
@@ -50,7 +49,7 @@ from scgadjust.unroll import (
 )
 
 from .conftest import query, small_scgs, zset
-from .references import eager_candidate_subsets, per_set_check_query, pruned_unrolling_masks
+from .references import eager_candidate_subsets, ftdag_opt, per_set_check_query, pruned_unrolling_masks
 
 GRAPHS_DIR = Path(__file__).resolve().parent.parent / "graphs"
 # The package exports the function ``unroll`` under the module's name.
@@ -108,8 +107,6 @@ class TestCommonBackdoor:
         assert not common_backdoor_valid(persistence_chain, query(gamma=1), zset(("Y", 0)))
 
     def test_cross_template_invalidity(self, optimal_gap, optimal_gap_templates):
-        from scgadjust import ftdag_opt
-
         t1, _ = optimal_gap_templates
         o1 = ftdag_opt(t1, query(gamma=0))
         assert not common_backdoor_valid(optimal_gap, query(gamma=0), o1)
@@ -128,8 +125,8 @@ class TestCommonBackdoor:
             return
         pool = sorted(candidate_subsets(g, q, 2))
         z = data.draw(st.sampled_from(pool))
-        full = all(classical_backdoor_check(t, q, z) for t in enumerate_compatible_templates(g, 1, 200))
-        dense = all(classical_backdoor_check(t, q, z) for t in densest_templates(g, 1))
+        full = all(BackdoorTester(t, q).check(z) for t in enumerate_compatible_templates(g, 1, 200))
+        dense = all(BackdoorTester(t, q).check(z) for t in densest_templates(g, 1))
         assert full == dense == common_backdoor_valid(g, q, z, cap=10_000)
 
 
@@ -592,11 +589,12 @@ def outside_family(g, q, max_subset_size: int) -> list:
 
 
 class TestFamilyRoute:
-    """With the library's criterion the soundness experiment counts the
-    family of the core items' up-sets by arithmetic and certifies it with one
-    test per core and orientation; the partition items' other sets and the
-    canonical sets outside it go one at a time, and a query with any
-    refusal is checked set by set.  The report is the one the per-set loop
+    """With the library's criterion the soundness experiment certifies the
+    family F of the core items' up-sets with one test per core and
+    orientation and then counts it by arithmetic; a refused F is checked set
+    by set.  The partition items' other sets and the canonical sets outside a
+    counted F go one at a time, and only a set the certificate refuses
+    reaches the templates.  The report is the one the per-set loop
     (``references.per_set_check_query``) gives."""
 
     @pytest.mark.parametrize(
@@ -605,13 +603,31 @@ class TestFamilyRoute:
             CorpusConfig(n_graphs=200, seed=7),
             CorpusConfig(n_graphs=200, seed=11),
             CorpusConfig(n_graphs=200, seed=7, gamma_max=2),
+            # Graphs 541 and 746 count F while other sets are refused.
+            CorpusConfig(n_graphs=1500, seed=7),
         ],
-        ids=["seed7", "seed11", "seed7-gamma-max2"],
+        ids=["seed7", "seed11", "seed7-gamma-max2", "seed7-1500"],
     )
     def test_same_report_as_per_set_loop(self, monkeypatch, cfg):
         fast = soundness_experiment(cfg)
         monkeypatch.setattr(oracle, "_check_query", per_set_check_query)
         assert fast.to_json() == soundness_experiment(cfg).to_json()
+
+    def test_walked_family_same_report_as_per_set_loop(self, monkeypatch):
+        # Every up-set refused: each query's F is walked set by set, and the
+        # report still holds the seed-11 counterexamples.
+        cfg = CorpusConfig(n_graphs=200, seed=11)
+        refused = []
+
+        def refuse(self, core, pool):
+            refused.append(core)
+            return False
+
+        monkeypatch.setattr(UnionTester, "certify_up_set", refuse)
+        walked = soundness_experiment(cfg)
+        assert refused and walked.counterexamples
+        monkeypatch.setattr(oracle, "_check_query", per_set_check_query)
+        assert walked.to_json() == soundness_experiment(cfg).to_json()
 
     @given(
         small_scgs(),
@@ -722,7 +738,7 @@ class TestUnionCertificate:
             return
         for t in enumerate_compatible_templates(g, gamma_max, 200):
             for pad in (0, gamma_max + 1):
-                assert classical_backdoor_check(t, q, z, pad)
+                assert BackdoorTester(t, q, pad).check(z)
 
     @given(
         small_scgs(),
@@ -749,7 +765,7 @@ class TestUnionCertificate:
             return
         for t in enumerate_compatible_templates(g, gamma_max, 200):
             for pad in (0, gamma_max + 1):
-                assert classical_backdoor_check(t, q, z, pad)
+                assert BackdoorTester(t, q, pad).check(z)
 
     def test_superset_opening_a_collider_refused(self, monkeypatch):
         # X <- A -> W <- B -> Y and X -> Y, at gamma 0: the core {X@-1}

@@ -1,6 +1,7 @@
 import importlib
+import math
 import random
-from itertools import combinations, islice, permutations
+from itertools import combinations, islice, product
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +39,7 @@ from .references import (
     d_separated_bruteforce,
     macro_projection,
     on_any_cycle,
+    order_induced_subsets,
     possible_descendants_bruteforce,
 )
 
@@ -214,21 +216,43 @@ class TestDensest:
     def test_count_matches_the_templates(self, g):
         assert count_densest_templates(g) == len(densest_templates(g, 1))
 
+    @staticmethod
+    def order_walk_choices(g):
+        """Each component's internal-edge sets, from every node order."""
+        part = scc_partition(g)
+        return [
+            order_induced_subsets(members, part.internal[i])
+            for i, members in enumerate(part.components)
+            if i in part.internal
+        ]
+
     @pytest.mark.parametrize("index", [2, 4, 16, 37])
     def test_count_matches_the_order_walk_on_large_components(self, index):
         # Corpus graphs with a 7- or 8-node strongly connected component,
-        # against the reference walk over every node order of each component.
+        # against the reference walk over every node order of each component:
+        # the count, and each component's listed sets in the same order.
         g = random_scg(CorpusConfig(node_count_range=(7, 8), seed=7), index)
-        expected = 1
-        for members in scc_partition(g).components:
-            internal = [(u, w) for (u, w) in g.edge_list if u != w and u in members and w in members]
-            induced = set()
-            for order in permutations(members):
-                rank = {v: i for i, v in enumerate(order)}
-                induced.add(frozenset((u, w) for (u, w) in internal if rank[u] < rank[w]))
-            expected *= len(induced)
+        expected = self.order_walk_choices(g)
         assert max(map(len, scc_partition(g).components)) >= 7
-        assert count_densest_templates(g) == expected
+        assert count_densest_templates(g) == math.prod(map(len, expected))
+        assert unroll_module._zero_lag_choices(g)[1] == expected
+
+    @given(small_scgs(max_nodes=6))
+    @settings(max_examples=60)
+    def test_listing_matches_the_order_walk(self, g):
+        # Same templates in the same order: the lag-0 edges of each are the
+        # edges between components plus one order-induced set per component.
+        between = set(scc_partition(g).between)
+        expected = [between.union(*choice) for choice in product(*self.order_walk_choices(g))]
+        listed = [{e for e, ls in t.lag_entries if 0 in ls} for t in densest_templates(g, 1)]
+        assert listed == expected
+
+    def test_ten_node_ring_without_node_orders(self):
+        # A walk over the ring's 10! node orders would overrun the bound.
+        names = [f"R{i}" for i in range(10)]
+        ring = validate_scg(names, [(u, names[(i + 1) % 10]) for i, u in enumerate(names)])
+        templates = bounded(lambda: densest_templates(ring, 1), timeout=10)
+        assert len(templates) == count_densest_templates(ring) == 1022
 
     @given(small_scgs(max_nodes=4))
     @settings(max_examples=30)
