@@ -170,7 +170,7 @@ def cmd_unroll(args) -> int:
         payload = {
             "template": json.loads(tmpl.to_json()),
             "window": [args.lo, args.hi],
-            "edges": sorted([[list(a), list(b)] for (a, b) in u.edges]),
+            "edges": sorted(u.edges),
         }
         _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
     else:

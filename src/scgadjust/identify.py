@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .graph import (
     SCG,
@@ -222,12 +222,6 @@ class _QueryFacts:
     front; the rest, the possible descendants included, on first use, so a
     query that is not identifiable or has a non-ancestor treatment, or a set
     rejected on the descendant clash, never searches a simple path.
-
-    The reports are frozen, so ``report`` hands out one instance per
-    distinct outcome and renders its violation text once: per descendant
-    clash, per tuple of the items' gaps ``core - z`` of a rejected set, per
-    item accepting through its core.  Only an acceptance by a partition
-    item, whose mandated part depends on the set, is built per call.
     """
 
     def __init__(self, g: SCG, q: MicroQuery):
@@ -236,10 +230,6 @@ class _QueryFacts:
         self.verdict = _classify(g, q)
         self.floor = q.window_floor
         self._z1: dict[frozenset[str], AdjustmentSet] = {}
-        # Interned reports, keyed by a clash (a set of temporal variables), a
-        # tuple of gaps (sets of temporal variables) or an item name; no two
-        # kinds of key compare equal.
-        self._reports: dict[object, CriterionReport] = {}
 
     @cached_property
     def d(self) -> frozenset[TemporalVar]:
@@ -247,29 +237,53 @@ class _QueryFacts:
         q = self.q
         return possible_descendants(self.g, q.treatment, -q.gamma, (self.floor, 0), q.gamma_max)
 
-    def _interned(self, key: object, make: Callable[[], CriterionReport]) -> CriterionReport:
-        report = self._reports.get(key)
-        if report is None:
-            report = self._reports[key] = make()
-        return report
-
     def report(self, z: AdjustmentSet) -> CriterionReport:
         """The criterion's report on ``z``, an in-window set; see
-        ``scg_backdoor_check``."""
+        ``scg_backdoor_check``.  The verdict's items are tried in document
+        order and the first that accepts ``z`` names the report; a
+        rejection's text is rendered only once every item has refused."""
         kind = self.verdict.kind
         if kind is VerdictKind.NOT_IDENTIFIABLE:
             return NOT_IDENTIFIABLE_REPORT
         clash = z & self.d
         if clash:
-            text = "possible descendant of treatment in set: "
-            return self._interned(
-                clash, lambda: CriterionReport(False, None, None, EMPTY, (text + self._labels(clash),))
-            )
+            text = f"possible descendant of treatment in set: {self._labels(clash)}"
+            return CriterionReport(False, None, None, EMPTY, (text,))
         if kind is VerdictKind.NON_ANCESTOR:
             return NON_ANCESTOR_REPORT
         if kind is VerdictKind.COND_C:
-            return self._condition_c_report(z)
-        return self._ab_report(z)
+            base, all_x, all_y = self.condition_c_parts
+            if not base <= z:
+                return CriterionReport(False, "C", None, EMPTY, (f"C: missing {self._labels(base - z)}",))
+            for part in (all_x, all_y):
+                if part <= z:
+                    return CriterionReport(True, "C", "C", base | part)
+            neither = (
+                "C: neither full treatment-parent slice nor full outcome-parent slice "
+                f"at offset {self.floor} is covered"
+            )
+            return CriterionReport(False, "C", None, EMPTY, (neither,))
+        condition, items = _AB_ITEMS[kind]
+        refused = []
+        for item in items:
+            core = self.cores.get(f"{item}-core")
+            if core is not None:
+                if item in _PARTITION_ITEMS:
+                    z1 = self.partition_witness(z)
+                    if z1 is not None:
+                        return CriterionReport(True, condition, item, z1, caveats=self.partition_caveats())
+                elif core <= z:
+                    return CriterionReport(True, condition, item, core)
+            refused.append((item, core))
+        violations = []
+        for item, core in refused:
+            if core is None:
+                violations.append(f"{item}: {_INAPPLICABLE[item]}")
+            elif item in _PARTITION_ITEMS:
+                violations.append(f"{item}: no mandated/free partition of the set exists")
+            else:
+                violations.append(f"{item}: missing {self._labels(core - z)}")
+        return CriterionReport(False, condition, None, EMPTY, tuple(violations))
 
     @cached_property
     def cn(self) -> frozenset[str]:
@@ -281,62 +295,6 @@ class _QueryFacts:
 
     def _labels(self, gap: AdjustmentSet) -> str:
         return ", ".join(tv.label() for tv in sort_temporal(self.g, gap))
-
-    @cached_property
-    def ab_items(self) -> tuple[tuple[str, AdjustmentSet | None], ...]:
-        """The items of condition A or B in document order, each with its
-        core, or None when the query has none."""
-        _, items = _AB_ITEMS[self.verdict.kind]
-        return tuple((item, self.cores.get(f"{item}-core")) for item in items)
-
-    def _ab_report(self, z: AdjustmentSet) -> CriterionReport:
-        """Items are tried in document order; the first that accepts ``z``
-        names the report.  A rejection depends on ``z`` only through the
-        gaps of the core items, the partition items rejecting with a fixed
-        text."""
-        condition, _ = _AB_ITEMS[self.verdict.kind]
-        gaps: list[AdjustmentSet] = []
-        for item, core in self.ab_items:
-            if core is None:
-                continue
-            if item in _PARTITION_ITEMS:
-                z1 = self.partition_witness(z)
-                if z1 is not None:
-                    return CriterionReport(True, condition, item, z1, caveats=self.partition_caveats())
-                continue
-            gap = core - z
-            if not gap:
-                return self._interned(item, lambda: CriterionReport(True, condition, item, core))
-            gaps.append(gap)
-        return self._interned(tuple(gaps), lambda: self._ab_rejection(condition, gaps))
-
-    def _ab_rejection(self, condition: str, gaps: list[AdjustmentSet]) -> CriterionReport:
-        violations = []
-        rest = iter(gaps)
-        for item, core in self.ab_items:
-            if core is None:
-                violations.append(f"{item}: {_INAPPLICABLE[item]}")
-            elif item in _PARTITION_ITEMS:
-                violations.append(f"{item}: no mandated/free partition of the set exists")
-            else:
-                violations.append(f"{item}: missing {self._labels(next(rest))}")
-        return CriterionReport(False, condition, None, EMPTY, tuple(violations))
-
-    def _condition_c_report(self, z: AdjustmentSet) -> CriterionReport:
-        base, all_x, all_y = self.condition_c_parts
-        gap = base - z
-        if gap:
-            return self._interned(
-                (gap,), lambda: CriterionReport(False, "C", None, EMPTY, (f"C: missing {self._labels(gap)}",))
-            )
-        for key, part in (("C-x", all_x), ("C-y", all_y)):
-            if part <= z:
-                return self._interned(key, lambda: CriterionReport(True, "C", "C", base | part))
-        neither = (
-            "C: neither full treatment-parent slice nor full outcome-parent slice "
-            f"at offset {self.floor} is covered"
-        )
-        return self._interned("C", lambda: CriterionReport(False, "C", None, EMPTY, (neither,)))
 
     @cached_property
     def cores(self) -> dict[str, AdjustmentSet]:
@@ -401,7 +359,12 @@ class _QueryFacts:
         The mandated part depends on Z2 only through the series it mentions,
         so candidate partitions are enumerated over series subsets of Z.
         Returns the mandated Z1 of the first valid partition, else None.
+        ``z1_required`` is monotone in the opened series, so every mandated
+        part holds the item's core ``z1_required(frozenset())``: a set
+        without it is refused before the walk.
         """
+        if not self.z1_required(frozenset()) <= z:
+            return None
         present = sorted({tv.series for tv in z}, key=self.g.index)
         for k in range(len(present) + 1):
             for combo in combinations(present, k):
@@ -427,6 +390,21 @@ class _QueryFacts:
         all_x = instantiate(pa_x, self.floor, self.floor)
         all_y = instantiate(pa_y, self.floor, self.floor)
         return base, all_x, all_y
+
+    @cached_property
+    def a1(self) -> AdjustmentSet:
+        """The largest baseline set; see ``set_a1``."""
+        g, q, lo = self.g, self.q, self.floor
+        de_x = descendants(g, [q.treatment])
+        return instantiate(de_x, lo - 1, -q.gamma - 1) | instantiate(
+            frozenset(g.nodes) - de_x, lo, -q.gamma
+        )
+
+    @cached_property
+    def a2(self) -> AdjustmentSet:
+        """The ancestral baseline set; see ``set_a2``."""
+        an_xy = ancestors(self.g, [self.q.treatment, self.q.outcome])
+        return frozenset(tv for tv in self.a1 if tv.series in an_xy)
 
 
 @lru_cache(maxsize=1)
@@ -485,20 +463,13 @@ def scg_backdoor_check(g: SCG, q: MicroQuery, z: Iterable[TemporalVar]) -> Crite
 def set_a1(g: SCG, q: MicroQuery) -> AdjustmentSet:
     """Largest baseline set: all non-descendant series over the adjustment band,
     descendants shifted one slice further into the past."""
-    _require_identifiable(g, q, allow_non_ancestor=True)
-    de_x = descendants(g, [q.treatment])
-    lo = q.window_floor
-    return instantiate(de_x, lo - 1, -q.gamma - 1) | instantiate(
-        frozenset(g.nodes) - de_x, lo, -q.gamma
-    )
+    return _require_identifiable(g, q, allow_non_ancestor=True).a1
 
 
 def set_a2(g: SCG, q: MicroQuery) -> AdjustmentSet:
     """Ancestral baseline set: the restriction of the largest baseline to
     ancestors of the treatment or outcome."""
-    a1 = set_a1(g, q)
-    an_xy = ancestors(g, [q.treatment, q.outcome])
-    return frozenset(tv for tv in a1 if tv.series in an_xy)
+    return _require_identifiable(g, q, allow_non_ancestor=True).a2
 
 
 def _require_identifiable(g: SCG, q: MicroQuery, allow_non_ancestor: bool = False) -> _QueryFacts:
@@ -515,8 +486,7 @@ def _require_identifiable(g: SCG, q: MicroQuery, allow_non_ancestor: bool = Fals
 def qopt(g: SCG, q: MicroQuery) -> AdjustmentSet:
     """Quasi-optimal adjustment set: the core of the most specific criterion
     item that applies to the verdict, the last of the query's cores."""
-    cores = _require_identifiable(g, q).cores
-    return next(reversed(cores.values()))
+    return next(reversed(_require_identifiable(g, q).cores.values()))
 
 
 def canonical_sets(g: SCG, q: MicroQuery) -> dict[str, AdjustmentSet]:
@@ -525,7 +495,8 @@ def canonical_sets(g: SCG, q: MicroQuery) -> dict[str, AdjustmentSet]:
     facts = _require_identifiable(g, q, allow_non_ancestor=True)
     if facts.verdict.kind is VerdictKind.NON_ANCESTOR:
         return {"empty": EMPTY}
-    return {"qopt": qopt(g, q), "a1": set_a1(g, q), "a2": set_a2(g, q), **facts.cores}
+    cores = facts.cores
+    return {"qopt": next(reversed(cores.values())), "a1": facts.a1, "a2": facts.a2, **cores}
 
 
 class _PrunedUnrolling:

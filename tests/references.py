@@ -5,7 +5,8 @@ by a faster route: d-separation by path enumeration or by a walk over sets,
 possible descendants as a union over every compatible template, the
 unrolling masks by a walk over edges, lags and slices, strongly
 connected components by Tarjan's algorithm, the criterion's reports built
-and rendered afresh on every call, the oracle's candidate sets as one list,
+and rendered afresh on every call, the partition item's search over every
+series subset of a set, the oracle's candidate sets as one list,
 the soundness experiment's query checked one set at a time, each strongly
 connected component's densest lag-0 edge sets from every node order.
 Several are exponential and meant for small graphs only.
@@ -354,6 +355,19 @@ def eager_scg_backdoor_check(g: SCG, q: MicroQuery, z: Iterable[TemporalVar]) ->
     else:
         violations.append(f"C: missing {labels(base - z)}")
     return CriterionReport(False, "C", None, EMPTY, tuple(violations))
+
+
+def partition_witness_walk(facts, z: AdjustmentSet) -> AdjustmentSet | None:
+    """``_QueryFacts.partition_witness`` as a walk over every series subset
+    of ``z``, with no test of the item's core up front: the mandated Z1 of
+    the first valid partition Z = Z1 (+) Z2, else None."""
+    present = sorted({tv.series for tv in z}, key=facts.g.index)
+    for k in range(len(present) + 1):
+        for combo in combinations(present, k):
+            z1 = facts.z1_required(frozenset(combo))
+            if z1 <= z and facts.z1_required(frozenset(tv.series for tv in z - z1)) == z1:
+                return z1
+    return None
 
 
 def eager_candidate_subsets(

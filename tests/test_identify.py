@@ -38,7 +38,7 @@ from scgadjust import (
 )
 import scgadjust.graph
 from scgadjust.graph import cycle_profile, scc_of
-from scgadjust.identify import BackdoorTester, UnionTester, query_facts
+from scgadjust.identify import BackdoorTester, UnionTester, _QueryFacts, query_facts
 from scgadjust.oracle import CorpusConfig, candidate_subsets, random_scg
 from scgadjust.unroll import instantiate, padded_window, unroll
 
@@ -49,6 +49,7 @@ from .references import (
     d_separated_bruteforce,
     eager_scg_backdoor_check,
     ftdag_opt,
+    partition_witness_walk,
     qopt_witness_template,
     set_based_d_connected,
     without_outgoing,
@@ -231,9 +232,10 @@ class TestCriterionChecker:
         assert report.required_core == zset(("X", -1), ("R", -1), ("R", 0))
 
 
-class TestInternedReports:
-    """``scg_backdoor_check`` hands out one report per distinct outcome of a
-    query; its reports must equal ones built and rendered afresh per call."""
+class TestCriterionReports:
+    """``scg_backdoor_check`` tries the verdict's items in one pass and words
+    a rejection only once every item has refused; its reports must equal
+    ones decided and rendered by the eager reference."""
 
     @given(
         small_scgs(),
@@ -281,19 +283,50 @@ class TestInternedReports:
                     got, want = scg_backdoor_check(g, q, z), eager_scg_backdoor_check(g, q, z)
                     assert got == want, (index, gamma, z)
 
-    def test_one_report_per_outcome(self, persistence_chain):
-        g, q = persistence_chain, query(gamma=1)
-        accepted = zset(("X", -2), ("W", -2), ("W", -1))
-        clash = zset(("Y", 0))
-        rejected = zset(("W", -1))
-        for z in (accepted, clash, rejected):
-            assert scg_backdoor_check(g, q, z) is scg_backdoor_check(g, q, set(z))
-        # Y@-2 is in no core: adding it keeps the accepting item and the gaps.
-        for z in (accepted, rejected):
-            assert scg_backdoor_check(g, q, z) is scg_backdoor_check(g, q, z | zset(("Y", -2)))
-        assert scg_backdoor_check(g, q, accepted).item == "A.1"
-        assert not scg_backdoor_check(g, q, rejected).satisfied
+    def test_accepted_set_renders_no_text(self, monkeypatch):
+        # Every core is accepted, by its own item or an earlier one; the
+        # graphs give every item of conditions A, B and C.
+        rendered = []
+        labels = _QueryFacts._labels
+        monkeypatch.setattr(_QueryFacts, "_labels", lambda facts, gap: rendered.append(gap) or labels(facts, gap))
+        graphs = [scg_from_json(p.read_text()) for p in sorted(GRAPHS_DIR.glob("*.json"))]
+        graphs += [random_scg(CorpusConfig(seed=seed), index) for seed in (7, 11) for index in range(40)]
+        graphs.append(validate_scg(["W", "X", "M", "Y"], [("W", "X"), ("X", "M"), ("M", "Y")]))
+        items = set()
+        for g in graphs:
+            for gamma in (0, 1):
+                q = MicroQuery("X", "Y", gamma, 1)
+                for core in query_facts(g, q).cores.values():
+                    report = scg_backdoor_check(g, q, core)
+                    assert report.satisfied
+                    items.add(report.item)
+        assert items == {"A.1", "A.2", "A.3", "A.4", "B.1", "B.2", "C"}
+        assert rendered == []
+        # The count sees a rejection's text.
+        g = graphs[-1]
+        assert not scg_backdoor_check(g, query(gamma=1), frozenset()).satisfied
+        assert rendered
 
+    @given(
+        small_scgs(),
+        st.integers(min_value=0, max_value=1),
+        st.integers(min_value=1, max_value=2),
+        st.data(),
+    )
+    @settings(max_examples=150)
+    def test_partition_witness_matches_full_walk(self, g, gamma, gamma_max, data):
+        # The walk over every series subset, without the core test up front.
+        x, y = g.nodes[0], g.nodes[1]
+        g = validate_scg(g.nodes, g.edges | {(x, y)})
+        q = MicroQuery(x, y, gamma, gamma_max)
+        facts = query_facts(g, q)
+        core = facts.z1_required(frozenset())
+        free = sorted(instantiate(g.nodes, q.window_floor, 0) - facts.d)
+        if not free:
+            return
+        drawn = data.draw(st.lists(st.frozensets(st.sampled_from(free), max_size=6), min_size=1, max_size=6))
+        for z in drawn + [core | z for z in drawn] + [core - {v} | z for v in sorted(core)[:2] for z in drawn]:
+            assert facts.partition_witness(z) == partition_witness_walk(facts, z)
 
 class TestBaselineSets:
     def test_a1_golden(self, persistence_chain):
