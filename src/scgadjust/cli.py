@@ -168,7 +168,7 @@ def cmd_unroll(args) -> int:
     u = unroll(tmpl, args.lo, args.hi)
     if args.format == "json":
         payload = {
-            "template": json.loads(tmpl.to_json()),
+            "template": tmpl.to_obj(),
             "window": [args.lo, args.hi],
             "edges": sorted(u.edges),
         }

@@ -408,12 +408,6 @@ class _QueryFacts:
 
 
 @lru_cache(maxsize=1)
-def window_vars(g: SCG, floor: int) -> AdjustmentSet:
-    """Every series of ``g`` at every offset of the adjustment window [floor, 0]."""
-    return instantiate(g.nodes, floor, 0)
-
-
-@lru_cache(maxsize=1)
 def query_facts(g: SCG, q: MicroQuery) -> _QueryFacts:
     return _QueryFacts(g, q)
 
@@ -455,7 +449,8 @@ def scg_backdoor_check(g: SCG, q: MicroQuery, z: Iterable[TemporalVar]) -> Crite
     """
     z = frozenset(z)
     # A bad set is reported before the query's facts are built.
-    if not z <= window_vars(g, q.window_floor):
+    floor = q.window_floor
+    if not all(series in g._index and floor <= offset <= 0 for series, offset in z):
         _check_z_shape(g, q, z)
     return query_facts(g, q).report(z)
 

@@ -128,18 +128,6 @@ class CorpusConfig:
         if self.max_subset_size < 0:
             raise ValueError("max_subset_size must be >= 0")
 
-    def to_obj(self) -> dict:
-        return {
-            "n_graphs": self.n_graphs,
-            "node_count_range": list(self.node_count_range),
-            "edge_probability": self.edge_probability,
-            "allow_cycles": self.allow_cycles,
-            "gamma_max": self.gamma_max,
-            "template_cap": self.template_cap,
-            "seed": self.seed,
-            "max_subset_size": self.max_subset_size,
-        }
-
 
 def _node_names(n: int) -> list[str]:
     names = ["X", "Y"]
@@ -309,21 +297,11 @@ class SoundnessReport:
     def sound(self) -> bool:
         return not self.counterexamples
 
-    def to_obj(self) -> dict:
-        return {
-            "config": self.config.to_obj(),
-            "graphs_tested": self.graphs_tested,
-            "graphs_skipped_over_cap": self.graphs_skipped_over_cap,
-            "sets_checked": self.sets_checked,
-            "sets_sound": self.sets_sound,
-            "counterexamples": list(self.counterexamples),
-            "condition_c_form_mismatches": self.condition_c_form_mismatches,
-            "padding_instabilities": self.padding_instabilities,
-            "rows": [row.__dict__ for row in self.rows],
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_obj(), indent=2, sort_keys=True)
+        """The report's fields, keys sorted.  Each field is a JSON value, a
+        tuple or a frozen dataclass, which ``vars`` opens; the ``sound``
+        property is not a field and is not written."""
+        return json.dumps(self, default=vars, indent=2, sort_keys=True)
 
     def to_csv(self) -> str:
         """One row per ``GraphRow``, in field order; ``skipped`` as 0/1 and a
@@ -615,16 +593,7 @@ class ProbeReport:
     graphs_skipped_over_cap: int
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "config": self.config.to_obj(),
-                "per_graph": list(self.per_graph),
-                "total_found": self.total_found,
-                "graphs_skipped_over_cap": self.graphs_skipped_over_cap,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        return json.dumps(self, default=vars, indent=2, sort_keys=True)
 
 
 def completeness_probe(cfg: CorpusConfig) -> ProbeReport:

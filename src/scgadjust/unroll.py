@@ -20,9 +20,7 @@ from .graph import (
     GraphError,
     closure,
     scc_partition,
-    scg_from_json,
     topological_order,
-    validate_scg,
 )
 
 
@@ -149,13 +147,12 @@ class FTDagTemplate:
     def lags(self) -> dict[tuple[str, str], frozenset[int]]:
         return {edge: frozenset(ls) for edge, ls in self.lag_entries}
 
-    def to_json(self) -> str:
-        payload = {
+    def to_obj(self) -> dict:
+        return {
             "scg": {"nodes": list(self.scg.nodes), "edges": [list(e) for e in self.scg.edge_list]},
             "gamma_max": self.gamma_max,
             "lags": [{"edge": list(edge), "set": list(ls)} for edge, ls in self.lag_entries],
         }
-        return json.dumps(payload, indent=2)
 
     def zero_lag_order(self) -> list[str]:
         """Series in lag-0 topological order, smallest declaration index first."""
@@ -536,36 +533,6 @@ def possible_descendants(
     return frozenset(reached)
 
 
-def template_from_json(text: str) -> FTDagTemplate:
-    try:
-        payload = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise TemplateError(f"invalid template JSON: {exc}") from exc
-    try:
-        g = validate_scg(payload["scg"]["nodes"], payload["scg"]["edges"])
-        lags = {tuple(item["edge"]): item["set"] for item in payload["lags"]}
-        gamma_max = int(payload["gamma_max"])
-    except (KeyError, TypeError) as exc:
-        raise TemplateError(f"malformed template JSON ({type(exc).__name__}: {exc})") from None
-    return make_template(g, gamma_max, lags)
-
-
-def query_from_json(text: str) -> MicroQuery:
-    try:
-        payload = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise QueryError(f"invalid query JSON: {exc}") from exc
-    try:
-        return MicroQuery(
-            treatment=payload["treatment"],
-            outcome=payload["outcome"],
-            gamma=int(payload["gamma"]),
-            gamma_max=int(payload["gamma_max"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise QueryError(f"malformed query JSON ({type(exc).__name__}: {exc})") from None
-
-
 __all__ = [
     "TemporalVar",
     "MicroQuery",
@@ -586,7 +553,4 @@ __all__ = [
     "unroll",
     "padded_window",
     "possible_descendants",
-    "template_from_json",
-    "query_from_json",
-    "scg_from_json",
 ]

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -312,6 +313,21 @@ class TestUnroll:
 
     def test_missing_file_exit_4(self):
         assert run(["identify", *q_flags("/nonexistent/g.json")]) == 4
+
+    UNROLL_DIGEST = "ef99a43cdebe7b500dd5995bb68823f815952e85c7c56cb428498ecce5f4d99f"
+
+    def test_sample_graph_bytes(self, capsys):
+        # Every sample graph, plain and densest, in both formats: exit code,
+        # stdout and stderr reduced to one SHA-256.
+        digest = hashlib.sha256()
+        for path in sorted(GRAPHS_DIR.glob("*.json")):
+            for flags in ([], ["--densest"], ["--densest", "--gamma-max", "2", "--lo", "-4"]):
+                for fmt in ("json", "edgelist"):
+                    code = run(["unroll", "--graph", str(path), *flags, "--format", fmt])
+                    captured = capsys.readouterr()
+                    record = [path.name, flags, fmt, code, captured.out, captured.err]
+                    digest.update(json.dumps(record).encode())
+        assert digest.hexdigest() == self.UNROLL_DIGEST
 
 
 class TestValidate:

@@ -235,7 +235,8 @@ class TestCriterionChecker:
 class TestCriterionReports:
     """``scg_backdoor_check`` tries the verdict's items in one pass and words
     a rejection only once every item has refused; its reports must equal
-    ones decided and rendered by the eager reference."""
+    ones decided and rendered by the eager reference, and a malformed set
+    must raise the reference's error."""
 
     @given(
         small_scgs(),
@@ -261,12 +262,29 @@ class TestCriterionReports:
         sets += data.draw(st.lists(st.frozensets(st.sampled_from(sorted(window)), max_size=5), max_size=4))
         # Each treatment variable is its own possible descendant: these clash.
         sets += [z | {q.treatment_var} for z in sets[:2] + [frozenset()] for q in queries]
+        # Malformed sets: in-window members mixed with members 1-3 slices past
+        # either end of the window, or of a series the graph lacks.
+        floor = queries[0].window_floor
+        stray = [tv(v, o) for v in g.nodes for o in (floor - 3, floor - 2, floor - 1, 1, 2, 3)]
+        stray += [tv("Q", o) for o in range(floor, 1)]
+        mixed = st.tuples(
+            st.frozensets(st.sampled_from(sorted(window)), max_size=4),
+            st.frozensets(st.sampled_from(stray), min_size=1, max_size=2),
+        )
+        sets += [z | bad for z, bad in data.draw(st.lists(mixed, max_size=4))]
         # Each query's facts, kept across its sets, then rebuilt on every set
         # as the two queries alternate.
         calls = [(q, z) for q in queries for z in sets + sets]
         calls += [(q, z) for z in sets for q in queries]
         for q, z in calls:
-            got, want = scg_backdoor_check(g, q, z), eager_scg_backdoor_check(g, q, z)
+            try:
+                want = eager_scg_backdoor_check(g, q, z)
+            except (GraphError, WindowError) as exc:
+                with pytest.raises(ValueError) as raised:
+                    scg_backdoor_check(g, q, z)
+                assert (type(raised.value), str(raised.value)) == (type(exc), str(exc))
+                continue
+            got = scg_backdoor_check(g, q, z)
             assert got == want
             assert got.to_obj(g) == want.to_obj(g)
 

@@ -518,31 +518,3 @@ class TestSerialization:
     def test_instantiate(self):
         got = instantiate(["A"], -1, 0)
         assert got == zset(("A", -1), ("A", 0))
-
-    def test_template_json_round_trip(self, persistence_template):
-        from scgadjust.unroll import template_from_json
-
-        again = template_from_json(persistence_template.to_json())
-        assert again == persistence_template
-
-    def test_query_json_round_trip(self):
-        from scgadjust.unroll import query_from_json
-
-        q = MicroQuery("X", "Y", 1, 2)
-        assert query_from_json(q.to_json()) == q
-
-    def test_template_json_missing_key(self, persistence_template):
-        import json
-
-        from scgadjust.unroll import template_from_json
-
-        payload = json.loads(persistence_template.to_json())
-        del payload["lags"]
-        with pytest.raises(TemplateError, match="lags"):
-            template_from_json(json.dumps(payload))
-
-    def test_query_json_missing_key(self):
-        from scgadjust.unroll import query_from_json
-
-        with pytest.raises(QueryError, match="gamma_max"):
-            query_from_json('{"treatment": "X", "outcome": "Y", "gamma": 1}')
