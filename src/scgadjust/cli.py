@@ -13,7 +13,7 @@ identical bytes.
 The oracle layer is imported only by the commands that use it: ``validate``,
 ``probe`` and ``unroll --densest``.  numpy is imported only by ``simulate``.
 ``identify``, ``check``, ``sets``, ``qopt`` and plain ``unroll`` load
-neither, so they start faster.
+neither the oracle layer, numpy nor ``dataclasses``, so they start faster.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
 
 from .graph import GraphError, scg_from_json
 from .identify import (
@@ -59,7 +58,8 @@ EXIT_OVER_CAP = 5
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as f:
+            f.write(text)
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -68,7 +68,8 @@ def _emit(text: str, out: str | None) -> None:
 
 def _load_graph(path: str):
     try:
-        return scg_from_json(Path(path).read_text(encoding="utf-8"))
+        with open(path, encoding="utf-8") as f:
+            return scg_from_json(f.read())
     except OSError as exc:
         raise GraphError(f"cannot read graph file: {exc}") from exc
 
@@ -254,7 +255,8 @@ def cmd_simulate(args) -> int:
         tmpl = densest_templates(g, q.gamma_max)[0]
         model = sample_linear_model(tmpl, seed=args.seed)
         data = generate(model, args.n, q.gamma + q.gamma_max + 1, BURN_IN, args.seed)
-        Path(args.dump_data).write_text(dataset_to_csv(data), encoding="utf-8")
+        with open(args.dump_data, "w", encoding="utf-8") as f:
+            f.write(dataset_to_csv(data))
     return EXIT_OK
 
 

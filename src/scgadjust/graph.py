@@ -21,9 +21,10 @@ it returns every node a trail active given ``z`` reaches, and
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
-from typing import Iterable, Sequence
+from operator import attrgetter
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 NodeId = str
 
@@ -32,44 +33,72 @@ class GraphError(ValueError):
     """Malformed graph input (duplicate names, undeclared endpoints, ...)."""
 
 
-@dataclass(frozen=True)
-class SCG:
+class _Record:
+    """Base of the read-only records with ``__slots__``: equal to another of
+    its class with equal ``_fields``, hashed by them and shown as
+    ``Name(field=value, ...)``.  A constructor sets the slots through
+    ``object.__setattr__``; any other assignment raises ``AttributeError``."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        # ``cls._key(record)`` is the tuple of the record's fields.
+        cls._key = staticmethod(attrgetter(*cls._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __reduce__(self):
+        # Rebuilt from its fields: a string's hash, and so a cached one,
+        # differs between interpreters.
+        return self.__class__, self._key(self)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._key(self)))
+        return f"{self.__class__.__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class SCG(_Record):
     """Summary causal graph: ordered nodes plus a set of directed edges."""
 
-    nodes: tuple[NodeId, ...]
-    edges: frozenset[tuple[NodeId, NodeId]]
-    _index: dict[NodeId, int] = field(repr=False, compare=False, hash=False, default=None)
-    # Adjacency in declaration order; a self-loop lists v under its own parents
-    # and children.
-    _parents: dict[NodeId, tuple[NodeId, ...]] = field(repr=False, compare=False, hash=False, default=None)
-    _children: dict[NodeId, tuple[NodeId, ...]] = field(repr=False, compare=False, hash=False, default=None)
-    _edge_list: tuple[tuple[NodeId, NodeId], ...] = field(init=False, repr=False, compare=False, hash=False, default=())
-    # The graph is a key of the per-query caches, so its hash is computed once.
-    _hash: int = field(init=False, repr=False, compare=False, hash=False, default=0)
-    # Set by ``scc_partition`` on first use, never by the constructor.
-    _scc: SccPartition | None = field(init=False, repr=False, compare=False, hash=False, default=None)
+    _fields = ("nodes", "edges")
+    # ``_parents`` and ``_children`` hold the adjacency in declaration order;
+    # a self-loop lists v under its own parents and children.  The graph is a
+    # key of the per-query caches, so its hash is computed once.  ``_scc`` is
+    # None until ``scc_partition`` sets it on first use.
+    __slots__ = (*_fields, "_index", "_parents", "_children", "_edge_list", "_hash", "_scc")
 
-    def __post_init__(self):
-        index = {v: i for i, v in enumerate(self.nodes)}
-        parents: dict[NodeId, list[NodeId]] = {v: [] for v in self.nodes}
-        children: dict[NodeId, list[NodeId]] = {v: [] for v in self.nodes}
-        edge_list = tuple(sorted(self.edges, key=lambda e: (index[e[0]], index[e[1]])))
+    def __init__(self, nodes: tuple[NodeId, ...], edges: frozenset[tuple[NodeId, NodeId]]):
+        index = {v: i for i, v in enumerate(nodes)}
+        parents: dict[NodeId, list[NodeId]] = {v: [] for v in nodes}
+        children: dict[NodeId, list[NodeId]] = {v: [] for v in nodes}
+        edge_list = tuple(sorted(edges, key=lambda e: (index[e[0]], index[e[1]])))
         for (u, w) in edge_list:
             parents[w].append(u)
             children[u].append(w)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_parents", {v: tuple(ps) for v, ps in parents.items()})
         object.__setattr__(self, "_children", {v: tuple(cs) for v, cs in children.items()})
         object.__setattr__(self, "_edge_list", edge_list)
-        object.__setattr__(self, "_hash", hash((self.nodes, self.edges)))
+        object.__setattr__(self, "_hash", hash((nodes, edges)))
+        object.__setattr__(self, "_scc", None)
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __reduce__(self):
-        # Rebuilt from its fields: a string's hash, and so the cached one,
-        # differs between interpreters.
-        return SCG, (self.nodes, self.edges)
 
     def index(self, v: NodeId) -> int:
         try:
@@ -276,8 +305,7 @@ def ancestors(g: SCG, s: Iterable[NodeId]) -> frozenset[NodeId]:
     return frozenset(closure(g._parents, s))
 
 
-@dataclass(frozen=True)
-class SccPartition:
+class SccPartition(NamedTuple):
     """Strongly connected components; order and membership are deterministic.
 
     ``between`` holds the non-self edges joining two components and
@@ -286,13 +314,14 @@ class SccPartition:
 
     component_of: dict[NodeId, int]
     components: tuple[tuple[NodeId, ...], ...]
-    between: tuple[tuple[NodeId, NodeId], ...] = field(default=(), compare=False)
-    internal: dict[int, list[tuple[NodeId, NodeId]]] = field(default_factory=dict, compare=False)
+    between: tuple[tuple[NodeId, NodeId], ...] = ()
+    # Read-only: a default is shared by every partition that takes it.
+    internal: Mapping[int, list[tuple[NodeId, NodeId]]] = MappingProxyType({})
 
 
 def scc_partition(g: SCG) -> SccPartition:
     """The strongly connected components of ``g``, computed on first use and
-    kept on ``g``: the graph is frozen, so the partition cannot go stale.
+    kept on ``g``: the graph is read-only, so the partition cannot go stale.
 
     A component is a class of mutual reachability: walking the nodes in
     declaration order, each node not yet placed opens the component of the
@@ -328,8 +357,7 @@ def scc_of(g: SCG, v: NodeId) -> frozenset[NodeId]:
     return frozenset(part.components[part.component_of[v]])
 
 
-@dataclass(frozen=True)
-class CycleProfile:
+class CycleProfile(NamedTuple):
     has_self_loop: bool
     on_any_cycle: bool
     only_cycle_is_two_cycle_with: NodeId | None

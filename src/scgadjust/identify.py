@@ -15,11 +15,10 @@ the treatment variable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .graph import (
     SCG,
@@ -67,8 +66,7 @@ class VerdictKind(str, Enum):
     NOT_IDENTIFIABLE = "NotIdentifiable"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     kind: VerdictKind
     witness: tuple[tuple[str, object], ...] = ()
 
@@ -176,8 +174,7 @@ def _open_backdoor_ecn(
     return frozenset(found)
 
 
-@dataclass(frozen=True)
-class CriterionReport:
+class CriterionReport(NamedTuple):
     satisfied: bool
     condition: str | None
     item: str | None

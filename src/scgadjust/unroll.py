@@ -11,13 +11,13 @@ lagged edges at every slice.  Offsets are relative to the outcome time:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from itertools import chain, combinations, product
 from typing import Iterable, Iterator, NamedTuple
 
 from .graph import (
     SCG,
     GraphError,
+    _Record,
     closure,
     scc_partition,
     topological_order,
@@ -72,35 +72,30 @@ class TemplateCapExceeded(RuntimeError):
         self.partial_count = partial_count
 
 
-@dataclass(frozen=True)
-class MicroQuery:
+class MicroQuery(_Record):
     """Effect of treatment@(t-gamma) on outcome@t, with model horizon gamma_max."""
 
-    treatment: str
-    outcome: str
-    gamma: int
-    gamma_max: int
+    _fields = ("treatment", "outcome", "gamma", "gamma_max")
     # The query is a key of the per-query caches, so its hash is computed once.
-    _hash: int = field(init=False, repr=False, compare=False, hash=False, default=0)
+    __slots__ = (*_fields, "_hash")
 
-    def __post_init__(self):
-        if self.treatment == self.outcome:
+    def __init__(self, treatment: str, outcome: str, gamma: int, gamma_max: int):
+        if treatment == outcome:
             raise QueryError("treatment and outcome must differ (self-effects are undefined)")
-        if self.gamma < 0:
+        if gamma < 0:
             raise QueryError("gamma must be >= 0")
-        if self.gamma_max < 1:
+        if gamma_max < 1:
             raise QueryError("gamma_max must be >= 1")
-        if self.gamma + self.gamma_max > MAX_HORIZON:
+        if gamma + gamma_max > MAX_HORIZON:
             raise QueryError(f"gamma + gamma_max must be <= {MAX_HORIZON}")
-        object.__setattr__(self, "_hash", hash((self.treatment, self.outcome, self.gamma, self.gamma_max)))
+        object.__setattr__(self, "treatment", treatment)
+        object.__setattr__(self, "outcome", outcome)
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "gamma_max", gamma_max)
+        object.__setattr__(self, "_hash", hash((treatment, outcome, gamma, gamma_max)))
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __reduce__(self):
-        # Rebuilt from its fields: a string's hash, and so the cached one,
-        # differs between interpreters.
-        return MicroQuery, (self.treatment, self.outcome, self.gamma, self.gamma_max)
 
     @property
     def window_floor(self) -> int:
@@ -135,8 +130,7 @@ def sort_temporal(g: SCG, vars_: Iterable[TemporalVar]) -> list[TemporalVar]:
     return sorted(vars_, key=lambda tv: (-tv.offset, g.index(tv.series)))
 
 
-@dataclass(frozen=True)
-class FTDagTemplate:
+class FTDagTemplate(NamedTuple):
     """One compatible full-time DAG, as per-edge lag sets."""
 
     scg: SCG
@@ -415,25 +409,30 @@ def undominated_templates(dense: list[FTDagTemplate]) -> list[FTDagTemplate]:
     return [t for t, s in zip(dense, zero) if not any(s < other for other in zero)]
 
 
-@dataclass(frozen=True)
-class UnrolledGraph:
+class UnrolledGraph(_Record):
     """A template unrolled over an offset window; always acyclic."""
 
-    window: tuple[int, int]
-    series: tuple[str, ...]
-    nodes: tuple[TemporalVar, ...]
-    edges: frozenset[tuple[TemporalVar, TemporalVar]]
-    parents: dict[TemporalVar, tuple[TemporalVar, ...]] = field(compare=False, hash=False, default=None)
-    children: dict[TemporalVar, tuple[TemporalVar, ...]] = field(compare=False, hash=False, default=None)
+    _fields = ("window", "series", "nodes", "edges")
+    __slots__ = (*_fields, "parents", "children")
 
-    def __post_init__(self):
-        par: dict[TemporalVar, list[TemporalVar]] = {v: [] for v in self.nodes}
-        chi: dict[TemporalVar, list[TemporalVar]] = {v: [] for v in self.nodes}
-        for (u, w) in self.edges:
+    def __init__(
+        self,
+        window: tuple[int, int],
+        series: tuple[str, ...],
+        nodes: tuple[TemporalVar, ...],
+        edges: frozenset[tuple[TemporalVar, TemporalVar]],
+    ):
+        par: dict[TemporalVar, list[TemporalVar]] = {v: [] for v in nodes}
+        chi: dict[TemporalVar, list[TemporalVar]] = {v: [] for v in nodes}
+        for (u, w) in edges:
             par[w].append(u)
             chi[u].append(w)
-        object.__setattr__(self, "parents", {v: tuple(par[v]) for v in self.nodes})
-        object.__setattr__(self, "children", {v: tuple(chi[v]) for v in self.nodes})
+        object.__setattr__(self, "window", window)
+        object.__setattr__(self, "series", series)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "parents", {v: tuple(par[v]) for v in nodes})
+        object.__setattr__(self, "children", {v: tuple(chi[v]) for v in nodes})
 
     def check_nodes(self, s: Iterable[TemporalVar]) -> None:
         for v in s:

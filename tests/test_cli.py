@@ -85,6 +85,10 @@ class TestMalformedGraph:
 
 
 class TestColdImport:
+    GRAPH = str(GRAPHS_DIR / "persistence_chain.json")
+    Q = ["--graph", GRAPH, "--treatment", "X", "--outcome", "Y", "--gamma", "1"]
+    GRAPH_ONLY = [["identify", *Q], ["check", *Q, "--set", "[]"], ["sets", *Q], ["qopt", *Q], ["unroll", "--graph", GRAPH]]
+
     def test_graph_commands_skip_numpy(self):
         src = str(Path(scgadjust.__file__).resolve().parent.parent)
         probe = f"import sys; sys.path.insert(0, {src!r}); import scgadjust.cli; print('numpy' in sys.modules)"
@@ -92,20 +96,23 @@ class TestColdImport:
         assert proc.stdout.strip() == "False"
 
     @staticmethod
-    def loaded_after(*argvs):
+    def loaded_after(*argvs, watch=("scgadjust.oracle", "numpy")):
         """Run each argv through ``cli.run`` in one fresh interpreter, and
-        return per call its exit code and whether the oracle and numpy were
-        loaded after it."""
+        return per call its exit code and, for each module of ``watch``,
+        whether it was loaded after the call although the bare interpreter
+        did not hold it at start-up."""
         src = str(Path(scgadjust.__file__).resolve().parent.parent)
         probe = (
-            "import contextlib, io, json, sys\n"
+            "import sys\n"
+            "bare = set(sys.modules)\n"
+            "import contextlib, io, json\n"
             f"sys.path.insert(0, {src!r})\n"
             "from scgadjust.cli import run\n"
             "out = []\n"
             "for argv in json.loads(sys.argv[1]):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        code = run(argv)\n"
-            "    out.append([code, 'scgadjust.oracle' in sys.modules, 'numpy' in sys.modules])\n"
+            f"    out.append([code, *(m in sys.modules and m not in bare for m in {list(watch)!r})])\n"
             "print(json.dumps(out))\n"
         )
         argv = [sys.executable, "-c", probe, json.dumps(argvs)]
@@ -115,17 +122,22 @@ class TestColdImport:
     def test_graph_commands_skip_oracle(self):
         # The macro commands answer from the graph alone: the oracle layer
         # stays unloaded, and numpy too until simulate, which is run last.
-        graph = str(GRAPHS_DIR / "persistence_chain.json")
-        q = ["--graph", graph, "--treatment", "X", "--outcome", "Y", "--gamma", "1"]
-        graph_only = [["identify", *q], ["check", *q, "--set", "[]"], ["sets", *q], ["qopt", *q],
-                      ["unroll", "--graph", graph]]
-        simulate = ["simulate", *q, "--n", "200", "--reps", "10"]
-        results = self.loaded_after(*graph_only, simulate)
+        simulate = ["simulate", *self.Q, "--n", "200", "--reps", "10"]
+        results = self.loaded_after(*self.GRAPH_ONLY, simulate)
         assert [code for code, _, _ in results] == [0, 3, 0, 0, 0, 0]
         assert [oracle for _, oracle, _ in results] == [False] * 6
         assert [numpy for _, _, numpy in results] == [False] * 5 + [True]
         # The probe sees the oracle where a command does load it.
         assert self.loaded_after(["validate", "--n-graphs", "1"]) == [[0, True, False]]
+
+    def test_graph_commands_skip_dataclasses(self):
+        # The macro layer declares its records without ``dataclasses``:
+        # importing it pulls in ``inspect``, and each class it builds execs
+        # generated source, in every process.  The probe sees both modules
+        # where a command does load them.
+        results = self.loaded_after(*self.GRAPH_ONLY, watch=("dataclasses", "inspect"))
+        assert results == [[0, False, False], [3, False, False], [0, False, False], [0, False, False], [0, False, False]]
+        assert self.loaded_after(["validate", "--n-graphs", "1"], watch=("dataclasses", "inspect")) == [[0, True, True]]
 
 
 class TestCheck:

@@ -1,4 +1,5 @@
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -9,12 +10,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from scgadjust import (
+    CriterionReport,
     GraphError,
+    MicroQuery,
+    TemporalVar,
+    Verdict,
+    VerdictKind,
     ancestors,
     cycle_profile,
+    densest_templates,
     descendants,
     scc_partition,
     scg_from_json,
+    unroll,
     validate_scg,
 )
 from scgadjust.graph import closure, d_connected, d_reach, simple_directed_paths, topological_order
@@ -79,6 +87,53 @@ class TestValidate:
             out = subprocess.run([sys.executable, "-c", code, str(path)], env=env, capture_output=True, text=True)
             assert out.returncode == 0, out.stderr
         assert out.stdout == "found\n"
+
+
+def _chain():
+    return validate_scg(["X", "Y", "W"], [("W", "X"), ("X", "Y"), ("W", "W"), ("X", "X")])
+
+
+# One record of each macro-layer class, built anew from the same inputs on
+# every call, and whether the class is hashable (a partition holds dicts).
+RECORDS = {
+    "SCG": (_chain, True),
+    "SccPartition": (lambda: scc_partition(_chain()), False),
+    "CycleProfile": (lambda: cycle_profile(_chain(), "X"), True),
+    "MicroQuery": (lambda: MicroQuery("X", "Y", 1, 2), True),
+    "FTDagTemplate": (lambda: densest_templates(_chain(), 2)[0], True),
+    "UnrolledGraph": (lambda: unroll(densest_templates(_chain(), 1)[0], -2, 0), True),
+    "Verdict": (lambda: Verdict(VerdictKind.COND_C, (("cycle_partner", "X"),)), True),
+    "CriterionReport": (lambda: CriterionReport(True, "A", "A.1", frozenset({TemporalVar("X", -2)})), True),
+}
+
+
+class TestRecords:
+    @pytest.mark.parametrize("name", sorted(RECORDS))
+    def test_value_contract(self, name):
+        build, hashable = RECORDS[name]
+        a, b = build(), build()
+        assert type(a).__name__ == name
+        assert a is not b and a == b and not a != b
+        if hashable:
+            assert hash(a) == hash(b)
+        fields = type(a)._fields
+        assert repr(a).startswith(f"{name}(")
+        assert all(f"{f}=" in repr(a) for f in fields)
+        for f in fields:
+            with pytest.raises(AttributeError):
+                setattr(a, f, getattr(b, f))
+            with pytest.raises(AttributeError):
+                delattr(a, f)
+        assert a == b
+        assert pickle.loads(pickle.dumps(a)) == b
+
+    def test_scc_partition_keeps_graph_value(self):
+        # The partition is kept on the graph on first use, and is no field.
+        g, fresh = _chain(), _chain()
+        part = scc_partition(g)
+        assert scc_partition(g) is part
+        assert g == fresh and hash(g) == hash(fresh)
+        assert repr(g) == repr(fresh)
 
 
 class TestKinship:
