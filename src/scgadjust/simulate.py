@@ -14,11 +14,13 @@ simulation.  Each regression is one Householder QR of the augmented design,
 and the experiment estimates each distinct set once per dataset, however many
 names refer to it.
 
-Every dataset has its own seed, so the experiment runs a block's datasets on
-one thread per CPU the process may run on (its affinity mask, as set for
-example with ``taskset``).  The normal draws, the array arithmetic and LAPACK
-release the GIL.  Results are taken in dataset order, so the report has the
-same bytes whatever the number of CPUs.
+Every dataset has its own seed, so the experiment samples every block's
+model first and then runs all its datasets through one ordered map, on one
+thread per CPU the process may run on (its affinity mask, as set for example
+with ``taskset``).  The normal draws, the array arithmetic and LAPACK release
+the GIL; the noise is drawn in 2 MiB chunks, so that a dataset's draws give
+up and retake the GIL only a few times.  Results are taken in dataset
+order, so the report has the same bytes whatever the number of CPUs.
 """
 
 from __future__ import annotations
@@ -27,9 +29,7 @@ import csv
 import io
 import os
 import threading
-from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -50,9 +50,12 @@ STABILITY_MARGIN = 0.95
 # Slices simulated and dropped before the kept ones, in the variance
 # experiment and in ``simulate --dump-data``.
 BURN_IN = 25
-# Noise values drawn per call in ``generate``: 128 KiB, which stays in cache
-# while it is scaled into the time-major array.
-NOISE_CHUNK_CELLS = 1 << 14
+# Noise values drawn per call in ``generate``: 2 MiB, so that a dataset of
+# 10,000 replicates takes four draws and four scatters into the time-major
+# array.  Each call releases and retakes the GIL, and between the threads of
+# the variance experiment every hand-off costs more than a smaller buffer
+# saves in cache misses.  The values are the same stream at any chunk size.
+NOISE_CHUNK_CELLS = 1 << 18
 
 
 class EstimationError(ValueError):
@@ -63,8 +66,7 @@ class InstabilityError(RuntimeError):
     """No stable coefficient draw found within the retry bound."""
 
 
-@dataclass(frozen=True)
-class LinearDTDSCM:
+class LinearDTDSCM(NamedTuple):
     """Linear mechanisms over one template: coefficient per (edge, lag)."""
 
     template: FTDagTemplate
@@ -80,18 +82,22 @@ class LinearDTDSCM:
         return dict(self.noise_entries)
 
 
-@dataclass(frozen=True)
-class Dataset:
-    """Replicate x time x series tensor, no missing values."""
-
+class _DatasetFields(NamedTuple):
     series: tuple[str, ...]
     values: np.ndarray
 
-    def __post_init__(self):
-        if self.values.ndim != 3 or self.values.shape[2] != len(self.series):
+
+class Dataset(_DatasetFields):
+    """Replicate x time x series tensor, no missing values."""
+
+    __slots__ = ()
+
+    def __new__(cls, series: tuple[str, ...], values: np.ndarray) -> Dataset:
+        if values.ndim != 3 or values.shape[2] != len(series):
             raise ValueError("values must have shape (replicates, horizon, n_series)")
-        if not np.all(np.isfinite(self.values)):
+        if not np.all(np.isfinite(values)):
             raise ValueError("dataset contains non-finite values")
+        return super().__new__(cls, series, values)
 
     @property
     def replicates(self) -> int:
@@ -102,8 +108,7 @@ class Dataset:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True)
-class EffectEstimate:
+class EffectEstimate(NamedTuple):
     point: float
     set_used: AdjustmentSet
     n: int
@@ -167,12 +172,13 @@ def generate(
 ) -> Dataset:
     """Simulate replicates independently and drop the burn-in slices.
 
-    The noise is drawn replicate-major, a few replicates at a time into one
-    reused buffer (the same stream as a single draw of every value), and each
-    chunk is scaled into a time-major array, so that each (time, series) cell
-    is one contiguous vector over the replicates.  The recursion steps there,
-    one ``dst += c * src`` per coefficient in lag-0 topological order, through
-    a reused buffer; the result is a ``(replicates, horizon, series)`` view.
+    The noise is drawn replicate-major, ``NOISE_CHUNK_CELLS`` values' worth
+    of replicates at a time into one reused buffer (the same stream as a
+    single draw of every value), and each chunk is scaled into a time-major
+    array, so that each (time, series) cell is one contiguous vector over the
+    replicates.  The recursion steps there, one ``dst += c * src`` per
+    coefficient in lag-0 topological order, through a reused buffer; the
+    result is a ``(replicates, horizon, series)`` view.
     """
     if horizon < 1 or burn_in < 0 or n_replicates < 1:
         raise ValueError("need horizon >= 1, burn_in >= 0, n_replicates >= 1")
@@ -341,8 +347,9 @@ def variance_experiment(
     Each block samples one linear model over a compatible template and
     simulates ``reps // blocks`` independent datasets of ``n`` replicates;
     every distinct set is estimated once on every dataset, and names bound to
-    equal sets share that estimate.  A block's datasets run on one thread per
-    available CPU, and their estimates are taken in dataset order.  The
+    equal sets share that estimate.  Every block's model and true effect
+    come first; then all ``reps`` datasets go through one map on one thread
+    per available CPU, and their estimates are taken in dataset order.  The
     per-set aggregate variance is the mean of within-block variances, so
     between-model effect heterogeneity does not contaminate the comparison.
     """
@@ -372,27 +379,25 @@ def variance_experiment(
     errors: dict[str, list[float]] = {name: [] for name in names}
     block_vars: dict[str, list[float]] = {name: [] for name in names}
     picker = np.random.default_rng(np.random.SeedSequence([17, seed]))
-    workers = min(_available_cpus(), reps_per_block)
-
-    def estimate(model: LinearDTDSCM, data_seed: int) -> dict[AdjustmentSet, float]:
-        data = generate(model, n, horizon, BURN_IN, seed=data_seed)
-        return {z: ols_effect(data, q, z).point for z in distinct}
-
+    models, truths = [], []
     for b in range(blocks):
         tmpl = templates[int(picker.integers(len(templates)))]
-        model = sample_linear_model(tmpl, coef_low, coef_high, seed=seed * 1000 + b)
-        truth = true_effect(model, q)
-        block_points: dict[str, list[float]] = {name: [] for name in names}
-        first_seed = (seed * blocks + b) * reps_per_block
-        data_seeds = range(first_seed, first_seed + reps_per_block)
-        for estimates in _map_in_order(partial(estimate, model), data_seeds, workers):
-            for name in names:
-                point = estimates[sets[name]]
-                block_points[name].append(point)
-                errors[name].append(point - truth)
+        models.append(sample_linear_model(tmpl, coef_low, coef_high, seed=seed * 1000 + b))
+        truths.append(true_effect(models[-1], q))
+
+    # Dataset i belongs to block i // reps_per_block and has seed seed * reps + i.
+    def estimate(i: int) -> dict[AdjustmentSet, float]:
+        data = generate(models[i // reps_per_block], n, horizon, BURN_IN, seed=seed * reps + i)
+        return {z: ols_effect(data, q, z).point for z in distinct}
+
+    estimates = _map_in_order(estimate, range(reps), min(_available_cpus(), reps))
+    for b, truth in enumerate(truths):
+        block = estimates[b * reps_per_block : (b + 1) * reps_per_block]
         for name in names:
-            points[name].extend(block_points[name])
-            block_vars[name].append(float(np.var(block_points[name], ddof=1)))
+            block_points = [found[sets[name]] for found in block]
+            points[name].extend(block_points)
+            errors[name].extend(point - truth for point in block_points)
+            block_vars[name].append(float(np.var(block_points, ddof=1)))
 
     per_set = {}
     for name in names:

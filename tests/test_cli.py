@@ -139,6 +139,12 @@ class TestColdImport:
         assert results == [[0, False, False], [3, False, False], [0, False, False], [0, False, False], [0, False, False]]
         assert self.loaded_after(["validate", "--n-graphs", "1"], watch=("dataclasses", "inspect")) == [[0, True, True]]
 
+    def test_simulate_skips_dataclasses(self):
+        # numpy loads ``inspect`` itself, but the numeric layer declares its
+        # records as named tuples, so ``dataclasses`` stays unloaded.
+        simulate = ["simulate", *self.Q, "--n", "200", "--reps", "10"]
+        assert self.loaded_after(simulate, watch=("dataclasses", "inspect")) == [[0, False, True]]
+
 
 class TestCheck:
     def test_accept(self, graph_file, capsys):

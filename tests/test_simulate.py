@@ -116,7 +116,7 @@ class TestPinnedGenerateBytes:
     # seed -> (replicates, horizon, burn_in)
     SIZES = {3: (40, 4, 25), 8: (7, 6, 0)}
 
-    def test_digests(self):
+    def digests(self) -> tuple[str, str]:
         values, text = hashlib.sha256(), hashlib.sha256()
         for name in ("persistence_chain", "cycle_pair_confounded"):
             g = scg_from_json((GRAPHS_DIR / f"{name}.json").read_text(encoding="utf-8"))
@@ -126,7 +126,21 @@ class TestPinnedGenerateBytes:
                     assert data.values.shape == (n, horizon, 3)
                     values.update(data.values.tobytes())
                     text.update(dataset_to_csv(data).encode())
-        assert (values.hexdigest(), text.hexdigest()) == (self.VALUES_DIGEST, self.CSV_DIGEST)
+        return values.hexdigest(), text.hexdigest()
+
+    def test_digests(self):
+        assert self.digests() == (self.VALUES_DIGEST, self.CSV_DIGEST)
+
+    @pytest.mark.parametrize("cells", [1, 86, 87, 88, 261, 1 << 18])
+    def test_any_chunk_size(self, monkeypatch, cells):
+        # The noise is one stream however the draws cut it.  A replicate of
+        # the seed-3 size is 29 slices x 3 series = 87 cells: up to 173 cells
+        # each draw holds one replicate, 261 draws three with a short last
+        # chunk, and 1 << 18 draws every replicate at once.
+        import scgadjust.simulate as simulate
+
+        monkeypatch.setattr(simulate, "NOISE_CHUNK_CELLS", cells)
+        assert self.digests() == (self.VALUES_DIGEST, self.CSV_DIGEST)
 
 
 class TestPinnedVarianceBytes:
@@ -152,15 +166,34 @@ class TestPinnedVarianceBytes:
     def test_digest(self):
         assert self.digest() == self.DIGEST
 
-    @pytest.mark.parametrize("cpus", [1, 3])
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 16])
     def test_any_cpu_count(self, monkeypatch, cpus):
-        # One worker runs every dataset on the calling thread.  Three are
-        # capped at the 2 datasets per block of reps 10 and run as three
-        # threads over the 4 of reps 20.
+        # One worker runs every dataset on the calling thread; two and three
+        # share all 10 or 20 datasets of an experiment through one map.
+        # Sixteen are more than the 10 datasets of reps 10, where the map is
+        # capped at 10 workers, so at most 10 threads run a dataset.
         import scgadjust.simulate as simulate
 
+        real = simulate._map_in_order
+        maps = []
+
+        def spy(fn, items, workers):
+            threads = set()
+
+            def traced(item):
+                threads.add(threading.get_ident())
+                return fn(item)
+
+            results = real(traced, items, workers)
+            maps.append((len(items), workers, len(threads)))
+            return results
+
         monkeypatch.setattr(simulate, "_available_cpus", lambda: cpus)
+        monkeypatch.setattr(simulate, "_map_in_order", spy)
         assert self.digest() == self.DIGEST
+        reps = list(self.REPS.values()) * 2
+        assert [(items, workers) for items, workers, _ in maps] == [(r, min(cpus, r)) for r in reps]
+        assert all(threads <= workers for _, workers, threads in maps)
 
 
 def _paths_effect_bruteforce(model: LinearDTDSCM, q: MicroQuery) -> float:
@@ -459,6 +492,38 @@ class TestMapInOrder:
         assert sorted(calls) == list(items)
         assert threading.active_count() == before
 
+    def test_no_hand_out_after_failure(self):
+        # Four workers each hold one of the first four items when the item
+        # of a started thread fails.  Once that failure is recorded no item
+        # is handed out: the calling thread and the two other started ones
+        # finish their items and take no more.
+        import scgadjust.simulate as simulate
+
+        barrier = threading.Barrier(4)
+        lock = threading.Lock()
+        caller, seen, failed = [], [], []
+
+        def fn(i):
+            seen.append(i)
+            if i < 4:
+                barrier.wait(timeout=10)
+            with lock:
+                fail = not failed and threading.get_ident() != caller[0]
+                if fail:
+                    failed.append(i)
+            if fail:
+                raise RuntimeError(f"item {i}")
+            time.sleep(0.05)
+            return i
+
+        def call():
+            caller.append(threading.get_ident())
+            return simulate._map_in_order(fn, range(40), 4)
+
+        with pytest.raises(RuntimeError, match="^item [0-3]$"):
+            bounded(call)
+        assert sorted(seen) == [0, 1, 2, 3]
+
 
 class TestVarianceExperimentErrors:
     """A failing dataset ends the experiment with the error the dataset loop
@@ -495,14 +560,16 @@ class TestVarianceExperimentErrors:
         real = simulate.generate
         seen = []
 
-        # Block 0 of seed 2 at 4 datasets per block has data seeds 16-19.
-        # Seed 17 fails after seed 19 has failed, when they run side by side.
+        # The 8 datasets of seed 2 have data seeds 16-23.  Seed 17 fails
+        # after seed 19 has failed, when they run side by side.  Seed 19
+        # fails at once, long before any other worker finishes its dataset.
         def failing(model, n, horizon, burn_in, seed):
             seen.append(seed)
             if seed == 17:
                 time.sleep(0.2)
             if seed in (17, 19):
                 raise RuntimeError(f"dataset {seed}")
+            time.sleep(0.05)
             return real(model, n, horizon, burn_in, seed)
 
         monkeypatch.setattr(simulate, "generate", failing)
@@ -512,7 +579,11 @@ class TestVarianceExperimentErrors:
         with pytest.raises(RuntimeError, match="^dataset 17$"):
             bounded(lambda: variance_experiment(persistence_chain, q, sets, n=200, reps=8, seed=2, blocks=2))
         assert threading.active_count() == before
-        # No dataset of the next block was started.
-        assert set(seen) <= {16, 17, 18, 19}
+        # Every dataset before the failing one ran, and none was handed out
+        # once a failure was recorded: one worker stops after seed 17; four
+        # take one of seeds 16-19 each, and seed 19 fails before any of them
+        # comes back for another.
         if cpus == 1:
             assert seen == [16, 17]
+        else:
+            assert sorted(seen) == [16, 17, 18, 19]
