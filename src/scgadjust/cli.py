@@ -3,12 +3,17 @@
 Exit codes: 0 success, 2 effect not identifiable, 3 candidate set rejected,
 4 input error, 5 template cap exceeded or out of memory; the soundness
 command exits 1 when counterexamples are found or a consistency check
-disagrees.  Input errors include a lag past ``unroll.MAX_HORIZON`` and, for
-``unroll``, a window with ``hi - lo`` past it or, with ``--densest``, a
-``gamma_max`` past it, each refused before any template is built, and an
-unrolling of more than ``unroll.MAX_UNROLLED_EDGES`` edges, refused before
-any edge is built.  Given identical inputs and seeds every command writes
-identical bytes.
+disagrees.  Input errors include argument errors (no or an unknown command,
+a missing flag, an ill-typed value, a bad choice, an unknown flag), for
+which argparse's usage and message go to stderr; ``--help`` exits 0.  They
+also include a lag past ``unroll.MAX_HORIZON`` and, for ``unroll``, a window
+with ``hi - lo`` past it or, with ``--densest``, a ``gamma_max`` past it,
+each refused before any template is built, and an unrolling of more than
+``unroll.MAX_UNROLLED_EDGES`` edges, refused before any edge is built.
+Given identical inputs and seeds every command writes identical bytes.
+
+Only ``validate`` (``--format json|csv``) and ``unroll`` (``--format
+edgelist|json``) take ``--format``; the other commands write JSON.
 
 The oracle layer is imported only by the commands that use it: ``validate``,
 ``probe`` and ``unroll --densest``.  numpy is imported only by ``simulate``.
@@ -83,9 +88,7 @@ def _query(args) -> MicroQuery:
     )
 
 
-def _add_query_flags(
-    p: argparse.ArgumentParser, need_query: bool = True, formats: tuple[str, ...] = ("json", "csv")
-) -> None:
+def _add_query_flags(p: argparse.ArgumentParser, need_query: bool = True) -> None:
     p.add_argument("--graph", required=True, help="SCG JSON file")
     if need_query:
         p.add_argument("--treatment", required=True)
@@ -93,7 +96,6 @@ def _add_query_flags(
         p.add_argument("--gamma", type=int, required=True)
     p.add_argument("--gamma-max", type=int, default=1, dest="gamma_max")
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
-    p.add_argument("--format", choices=formats, default=formats[0])
 
 
 def cmd_identify(args) -> int:
@@ -285,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_qopt)
 
     p = sub.add_parser("unroll", help="unroll one compatible template over a window")
-    _add_query_flags(p, need_query=False, formats=("edgelist", "json"))
+    _add_query_flags(p, need_query=False)
+    p.add_argument("--format", choices=("edgelist", "json"), default="edgelist")
     p.add_argument("--lo", type=int, default=-2)
     p.add_argument("--hi", type=int, default=0)
     p.add_argument("--template-index", type=int, default=0, dest="template_index")
@@ -304,10 +307,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=7)
         p.add_argument("--max-subset-size", type=int, default=5, dest="max_subset_size")
         p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("validate", help="run the seeded soundness experiment")
     add_corpus_flags(p)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("probe", help="search for valid sets the criterion rejects")
@@ -334,6 +337,11 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the help (exit 0) or a usage error (exit 2, a
+        # code this CLI keeps for "not identifiable"); the latter is bad input.
+        return EXIT_INPUT_ERROR if exc.code else EXIT_OK
+    try:
         return args.func(args)
     except TemplateCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -146,6 +146,66 @@ class TestColdImport:
         assert self.loaded_after(simulate, watch=("dataclasses", "inspect")) == [[0, False, True]]
 
 
+CHAIN = str(GRAPHS_DIR / "persistence_chain.json")
+
+
+class TestArgumentErrors:
+    # argparse's usage errors are bad input: exit 4, with argparse's usage and
+    # message on stderr, never argparse's own exit 2, which this CLI keeps
+    # for "not identifiable".
+    MALFORMED = {
+        "no command": [],
+        "unknown command": ["nope"],
+        "missing required flag": ["identify", "--graph", CHAIN, "--treatment", "X", "--outcome", "Y"],
+        "ill-typed value": ["identify", *q_flags(CHAIN, gamma="one")],
+        "bad choice": ["validate", "--format", "xml"],
+    }
+    # Every command but validate and unroll writes JSON and takes no --format.
+    NO_FORMAT = {
+        "identify": q_flags(CHAIN),
+        "check": [*q_flags(CHAIN), "--set", "[]"],
+        "sets": q_flags(CHAIN),
+        "qopt": q_flags(CHAIN),
+        "probe": ["--graph", CHAIN, "--gamma", "1"],
+        "simulate": [*q_flags(CHAIN), "--n", "300", "--reps", "10"],
+    }
+
+    @pytest.mark.parametrize("argv", MALFORMED.values(), ids=MALFORMED)
+    def test_usage_error_exit_4(self, argv, capsys):
+        assert run(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: scgadjust")
+        assert "error: " in captured.err
+
+    @pytest.mark.parametrize("command", NO_FORMAT)
+    def test_format_refused_exit_4(self, command, capsys):
+        argv = [command, *self.NO_FORMAT[command]]
+        cli.build_parser().parse_args(argv)  # well-formed without the flag
+        assert run([*argv, "--format", "csv"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: unrecognized arguments: --format csv\n" in captured.err
+
+    @pytest.mark.parametrize("command", [None, *NO_FORMAT, "unroll", "validate"])
+    def test_help_exit_0(self, command, capsys):
+        assert run([command, "--help"] if command else ["--help"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: scgadjust")
+        assert captured.err == ""
+        assert ("--format" in captured.out) == (command in {"unroll", "validate"})
+
+    def test_module_entry_point_exit_4(self):
+        src = str(Path(scgadjust.__file__).resolve().parent.parent)
+        argv = [sys.executable, "-m", "scgadjust.cli", "identify", "--graph", CHAIN,
+                "--treatment", "X", "--outcome", "Y"]
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert proc.stderr.endswith("error: the following arguments are required: --gamma\n")
+
+
 class TestCheck:
     def test_accept(self, graph_file, capsys):
         code = run(["check", *q_flags(graph_file), "--set", '[["X",-2],["W",-2],["W",-1]]'])
@@ -443,6 +503,20 @@ class TestSimulate:
         assert code == 4
         assert captured.out == ""
         assert captured.err == "error: no adjustment set to compare\n"
+
+    def test_dump_data(self, tmp_path, capsys):
+        # --dump-data writes one dataset of the densest template's model and
+        # leaves the report as it is without the flag.
+        argv = ["simulate", *q_flags(CHAIN), "--n", "300", "--reps", "10", "--seed", "3"]
+        assert run(argv) == 0
+        plain = capsys.readouterr()
+        dump = tmp_path / "data.csv"
+        assert run([*argv, "--dump-data", str(dump)]) == 0
+        assert capsys.readouterr() == plain
+        data = dump.read_bytes()
+        assert data.startswith(b"replicate,time,series,value\r\n")
+        assert data.count(b"\n") == 1 + 300 * 3 * 3  # replicates x slices x series
+        assert hashlib.sha256(data).hexdigest() == "91ae8580f5ba27127239669fdc363650a20a470dc0875c0610b367221896cdd4"
 
     BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
